@@ -1,0 +1,5 @@
+"""The repository's end-to-end benchmark (see ``perfbench/README.md``).
+
+Entry point: ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root.
+"""
