@@ -6,12 +6,16 @@ interpreted matcher, but :meth:`RulePlan._run` is still a generic
 interpreter: every candidate tuple pays a loop over ``Step`` records,
 ``binds``/``withins`` tuples, and an ``iters`` backtracking stack that
 encode the *rule*, not the data.  None of that varies at runtime, so
-this module compiles it away entirely: for each plan it emits a small
-Python module — one specialized function per semi-naive variant — and
-``exec``\\ s it once, keeping the source string for debugging
-(``repro run --dump-codegen DIR`` writes it out).
+this module compiles it away entirely: each plan gets one specialized
+Python function per semi-naive variant, and each function is emitted,
+compiled and bound the first time a run dispatches to it (most
+variants of most plans never run, and compiling them all up front
+was most of a new program's run time).  :attr:`CodegenPlan.source`
+emits the plan's whole module on demand for debugging (``repro run
+--dump-codegen DIR`` writes it out); each function's text in it is
+exactly what its lazy compile ran.
 
-Per plan the generated module contains:
+Per plan the variants are:
 
 * ``walk_full`` / ``walk_r{i}`` — generator twins of
   :meth:`RulePlan._run`: the full-pass walk and one variant per step
@@ -56,12 +60,14 @@ The tier sits behind :attr:`PlanCache.codegen` (default on; precedence
 codegen > compiled > interpreted) and is dispatched per call inside
 ``RulePlan._run`` / ``RulePlan.run_emit``, so flipping the toggle
 mid-session bypasses compiled functions immediately — no staleness
-window.  Compiled functions are cached on the plan object itself
+window; a tier flipped on compiles its variants on their first
+dispatch.  Compiled functions are cached on the plan object itself
 (``RulePlan.codegen_fns``): they die with the plan on
 :meth:`PlanCache.clear`, planner replans build fresh plans (hence fresh
 functions), and :func:`~repro.semantics.plan.plan_with_cover` resets
 the slot on its twin so a chain-probing plan never runs the base plan's
-flat-index code.
+flat-index code.  Each function's source stays in :mod:`linecache`
+(tracebacks show the emitted lines) until the function dies.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from __future__ import annotations
 import itertools
 import linecache
 import re
+import weakref
 from typing import Hashable, Iterator
 
 __all__ = ["CodegenPlan", "compile_plan", "dump_codegen"]
@@ -85,9 +92,10 @@ _SEQ = itertools.count()
 class _Source:
     """Accumulates generated lines and the hoisted-constant pool."""
 
-    def __init__(self) -> None:
+    def __init__(self, consts: list[tuple[str, Hashable]]) -> None:
         self.lines: list[str] = []
-        self.consts: list[tuple[str, Hashable]] = []
+        #: Shared with the owning CodegenPlan (see ``_consts``).
+        self.consts = consts
 
     def add(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -604,27 +612,123 @@ def _emit_group(src: _Source, index: int, positions) -> str:
     return name
 
 
-class CodegenPlan:
-    """One plan's compiled functions plus the source they came from.
+#: "Not compiled yet" in the batch tables, where ``None`` already means
+#: "this variant has no batch shape" (:func:`_emit_batch` declined).
+_PENDING = object()
 
-    ``run``/``run_emit`` mirror the signatures ``RulePlan._run`` /
-    ``RulePlan.run_emit`` dispatch with (minus the head spec, which is
-    baked — callers verify it against ``head_relation``/``head_fills``
-    before dispatching).
+#: Shared empty dict for the batch kernels' inlined trie walks
+#: (``(g(k0) or _E).get(k1)``); read-only by construction.
+_EMPTY: dict = {}
+
+
+class CodegenPlan:
+    """One plan's specialized functions, each compiled on first dispatch.
+
+    Building one compiles nothing.  Each variant — ``walk_*``,
+    ``emit_*``, ``walk_batch_*``, ``emit_batch_*``, ``group_r*`` — is
+    emitted, compiled and bound the first time ``run``/``run_emit``/
+    ``run_emit_batch``/``run_walk_batch`` dispatches to it, then cached
+    in its table.  ``run``/``run_emit`` mirror the signatures
+    ``RulePlan._run`` / ``RulePlan.run_emit`` dispatch with (minus the
+    head spec, which is baked — callers verify it against
+    ``head_relation``/``head_fills`` before dispatching).
     """
 
     __slots__ = (
-        "source",
-        "filename",
+        "plan",
+        "rule_text",
         "n_slots",
         "head_relation",
         "head_fills",
+        # Hoisted-constant pool shared by every variant, so one
+        # constant has one name in all of them and in ``source``.
+        "_consts",
+        # Variant tables, indexed by restricted step + 1 (0 = full
+        # pass); ``None`` = not compiled yet.  ``_emits`` is None
+        # outright when the plan has no single positive head.
         "_walks",
         "_emits",
+        # Per step: its ``group_r{i}``, or None when the step has no
+        # key positions.  Compiled with the first restricted scalar
+        # variant of that step, so it is resolved before it is read.
         "_groups",
+        # [full, r0]: a kernel, None (no batch shape) or _PENDING.
         "_batch_emits",
         "_batch_walks",
     )
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+        self.rule_text = " ".join(str(plan.rule).split())
+        self.n_slots = plan.n_slots
+        self._consts: list[tuple[str, Hashable]] = []
+        n_variants = len(plan.steps) + 1
+        self._walks = [None] * n_variants
+        self._groups = [None] * len(plan.steps)
+        self._batch_walks = [_PENDING, _PENDING]
+        if _emittable(plan):
+            relation, _template, fills, _positive = plan.emitters[0]
+            self.head_relation = relation
+            self.head_fills = fills
+            self._emits = [None] * n_variants
+            self._batch_emits = [_PENDING, _PENDING]
+        else:
+            self.head_relation = None
+            self.head_fills = None
+            self._emits = None
+            self._batch_emits = [None, None]
+
+    @property
+    def source(self) -> str:
+        """The plan's whole generated module, every variant included.
+
+        Emitted on demand for debugging (``repro run --dump-codegen``)
+        and compiles nothing; each function's text is exactly what its
+        lazy compile ran.
+        """
+        plan = self.plan
+        src = _Source(self._consts)
+        src.add(0, f"# codegen for rule: {self.rule_text}")
+        src.add(0, f"# join order: {plan.order!r}   slots: "
+                   + " ".join(f"{v.name}={s}" for v, s in plan.out_vars))
+        src.add(0, "")
+        src.add(0, "_E = {}")
+        src.add(0, "")
+        for kind, index in self._variants():
+            _EMITTERS[kind](src, plan, index)
+        return src.text()
+
+    def _variants(self) -> Iterator[tuple[str, int]]:
+        """Every (kind, restricted index) pair, in module order."""
+        variants = [-1, *range(len(self.plan.steps))]
+        yield from (("walk", r) for r in variants)
+        if self._emits is not None:
+            yield from (("emit", r) for r in variants)
+        yield from (("walk_batch", r) for r in (-1, 0))
+        if self._emits is not None:
+            yield from (("emit_batch", r) for r in (-1, 0))
+        for i, step in enumerate(self.plan.steps):
+            if step.key_positions:
+                yield ("group", i)
+
+    def _compile(self, table: list, kind: str, restricted_index: int):
+        """Miss path: compile one variant into its table slot.
+
+        Goes through the ``compile_plan`` bound in
+        :mod:`repro.semantics.plan`, so a wrapper installed there (the
+        layer tracer) sees every compile.
+        """
+        from repro.semantics import plan as plan_module
+
+        fn = plan_module.compile_plan(self, (kind, restricted_index))
+        table[restricted_index + 1] = fn
+        if (kind in ("walk", "emit") and restricted_index >= 0
+                and self._groups[restricted_index] is None
+                and self.plan.steps[restricted_index].key_positions):
+            self._groups[restricted_index] = plan_module.compile_plan(
+                self, ("group", restricted_index)
+            )
+        return fn
 
     def run(self, db, adom, restricted_index: int, restricted,
             seed=None) -> Iterator:
@@ -639,25 +743,33 @@ class CodegenPlan:
         if seed is not None:
             slots[: len(seed)] = seed
         if restricted_index < 0:
-            return self._walks[0](db, adom, slots)
+            fn = self._walks[0]
+            if fn is None:
+                fn = self._compile(self._walks, "walk", -1)
+            return fn(db, adom, slots)
+        fn = self._walks[restricted_index + 1]
+        if fn is None:
+            fn = self._compile(self._walks, "walk", restricted_index)
         group = self._groups[restricted_index]
         if group is not None:
             restricted = group(restricted)
-        return self._walks[restricted_index + 1](
-            db, adom, slots, restricted
-        )
+        return fn(db, adom, slots, restricted)
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
                  out: set) -> int:
         """Fused twin of ``RulePlan.run_emit``; returns firings."""
         if restricted_index < 0:
-            return self._emits[0](db, adom, out.add)
+            fn = self._emits[0]
+            if fn is None:
+                fn = self._compile(self._emits, "emit", -1)
+            return fn(db, adom, out.add)
+        fn = self._emits[restricted_index + 1]
+        if fn is None:
+            fn = self._compile(self._emits, "emit", restricted_index)
         group = self._groups[restricted_index]
         if group is not None:
             restricted = group(restricted)
-        return self._emits[restricted_index + 1](
-            db, adom, out.add, restricted
-        )
+        return fn(db, adom, out.add, restricted)
 
     @staticmethod
     def _rows(restricted) -> tuple:
@@ -692,17 +804,19 @@ class CodegenPlan:
         Variants without a batch shape (delta at a non-leading
         occurrence, no loopable step, …) and deltas smaller than
         :data:`BATCH_MIN_ROWS` drop to :meth:`run_emit` — same
-        firings, same facts.
+        firings, same facts.  A small delta never compiles the batch
+        kernel.
         """
         fn = None
-        if restricted_index < 0:
-            fn = self._batch_emits[0]
-        elif restricted_index == 0:
-            fn = self._batch_emits[1]
-            if fn is not None and not restricted:
-                return 0
-            if fn is not None and len(restricted) < self.BATCH_MIN_ROWS:
-                fn = None
+        if restricted_index < 0 or (
+            restricted_index == 0
+            and len(restricted) >= self.BATCH_MIN_ROWS
+        ):
+            fn = self._batch_emits[restricted_index + 1]
+            if fn is _PENDING:
+                fn = self._compile(
+                    self._batch_emits, "emit_batch", restricted_index
+                )
         if fn is None:
             return self.run_emit(db, adom, restricted_index, restricted, out)
         known: set | tuple = ()
@@ -719,116 +833,98 @@ class CodegenPlan:
         """Batch walk: every match as a materialized slot row, or
         ``None`` when this variant has no batch kernel (the caller then
         falls back to the generator walk)."""
+        if restricted_index > 0:
+            return None
+        fn = self._batch_walks[restricted_index + 1]
+        if fn is _PENDING:
+            fn = self._compile(self._batch_walks, "walk_batch",
+                               restricted_index)
+        if fn is None:
+            return None
         if restricted_index < 0:
-            fn = self._batch_walks[0]
-            return fn(db, adom) if fn is not None else None
-        if restricted_index == 0:
-            fn = self._batch_walks[1]
-            if fn is not None:
-                if not restricted:
-                    return []
-                return fn(db, adom, self._rows(restricted))
-        return None
+            return fn(db, adom)
+        if not restricted:
+            return []
+        return fn(db, adom, self._rows(restricted))
 
 
-def compile_plan(plan) -> CodegenPlan:
-    """Emit, compile, and bind the specialized functions for ``plan``."""
-    src = _Source()
-    rule_text = " ".join(str(plan.rule).split())
-    src.add(0, f"# codegen for rule: {rule_text}")
-    src.add(0, f"# join order: {plan.order!r}   slots: "
-               + " ".join(f"{v.name}={s}" for v, s in plan.out_vars))
-    src.add(0, "")
-    # Shared empty dict for the batch kernels' inlined trie walks
-    # (``(g(k0) or _E).get(k1)``); read-only by construction.
-    src.add(0, "_E = {}")
-    src.add(0, "")
-    variants = [-1, *range(len(plan.steps))]
-    walk_names = [_emit_variant(src, plan, r, fused=False)
-                  for r in variants]
-    emittable = (
+def _emittable(plan) -> bool:
+    """Whether ``plan`` gets the fused variants (one positive head)."""
+    return (
         plan.emitters is not None
         and len(plan.emitters) == 1
         and plan.emitters[0][3]
         and not plan.bound
     )
-    emit_names = (
-        [_emit_variant(src, plan, r, fused=True) for r in variants]
-        if emittable
-        else None
-    )
-    batch_walk_names = [_emit_batch(src, plan, r, fused=False)
-                        for r in (-1, 0)]
-    batch_emit_names = (
-        [_emit_batch(src, plan, r, fused=True) for r in (-1, 0)]
-        if emittable
-        else [None, None]
-    )
-    group_names: list[str | None] = [
-        _emit_group(src, i, step.key_positions) if step.key_positions
-        else None
-        for i, step in enumerate(plan.steps)
-    ]
 
+
+#: Variant kind → its emitter: ``(src, plan, restricted_index)`` →
+#: the emitted function's name, or None when the shape doesn't apply.
+_EMITTERS = {
+    "walk": lambda src, plan, r: _emit_variant(src, plan, r, fused=False),
+    "emit": lambda src, plan, r: _emit_variant(src, plan, r, fused=True),
+    "walk_batch": lambda src, plan, r: _emit_batch(src, plan, r, fused=False),
+    "emit_batch": lambda src, plan, r: _emit_batch(src, plan, r, fused=True),
+    "group": lambda src, plan, i: _emit_group(
+        src, i, plan.steps[i].key_positions
+    ),
+}
+
+
+def compile_plan(plan, variant: tuple[str, int] | None = None):
+    """The codegen entry point, in two forms.
+
+    ``compile_plan(rule_plan)`` returns a :class:`CodegenPlan` for a
+    :class:`~repro.semantics.plan.RulePlan` and compiles nothing.
+    ``compile_plan(codegen_plan, (kind, restricted_index))`` emits,
+    compiles and binds one variant — kind ``walk``, ``emit``,
+    ``walk_batch``, ``emit_batch`` or ``group`` (whose index is the
+    step) — and returns the function, or None for a batch variant with
+    no batch shape.  :meth:`CodegenPlan._compile` is the only caller of
+    the second form.
+    """
+    if variant is None:
+        return CodegenPlan(plan)
+    kind, index = variant
+    src = _Source(plan._consts)
+    name = _EMITTERS[kind](src, plan.plan, index)
+    if name is None:
+        return None
     source = src.text()
-    filename = f"<codegen-{next(_SEQ)}: {rule_text}>"
-    namespace: dict = dict(src.consts)
+    filename = f"<codegen-{next(_SEQ)} {name}: {plan.rule_text}>"
+    namespace: dict = dict(plan._consts)
+    namespace["_E"] = _EMPTY
     exec(compile(source, filename, "exec"), namespace)
+    # Taking the function out of its namespace breaks the
+    # function → globals → function cycle, so it dies by refcount.
+    fn = namespace.pop(name)
     # Register with linecache so tracebacks through generated code show
-    # the emitted lines.
+    # the emitted lines, for as long as the function lives.
     linecache.cache[filename] = (
         len(source), None, source.splitlines(True), filename
     )
-
-    cg = CodegenPlan.__new__(CodegenPlan)
-    cg.source = source
-    cg.filename = filename
-    cg.n_slots = plan.n_slots
-    cg._walks = [namespace[name] for name in walk_names]
-    cg._emits = (
-        [namespace[name] for name in emit_names] if emit_names else None
-    )
-    cg._groups = [
-        namespace[name] if name is not None else None
-        for name in group_names
-    ]
-    cg._batch_walks = [
-        namespace[name] if name is not None else None
-        for name in batch_walk_names
-    ]
-    cg._batch_emits = [
-        namespace[name] if name is not None else None
-        for name in batch_emit_names
-    ]
-    if emittable:
-        relation, _template, fills, _positive = plan.emitters[0]
-        cg.head_relation = relation
-        cg.head_fills = fills
-    else:
-        cg.head_relation = None
-        cg.head_fills = None
-    return cg
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return fn
 
 
 def dump_codegen(program, directory: str) -> list[str]:
     """Write each rule's generated source under ``directory``.
 
-    Dumps every cached plan of every rule (compiling on demand if a
-    plan has not run under the codegen tier yet), one file per (rule,
-    join order).  Returns the written paths.  Debug tooling for
+    Dumps every cached plan of every rule (emitting, not compiling,
+    every variant — also of plans that never ran under the codegen
+    tier), one file per (rule, join order).  Returns the written paths.  Debug tooling for
     ``repro run --dump-codegen``; cover twins built by the planner live
     on its decisions, not in the plan cache, so this shows the
     flat-index variants.
     """
     import os
 
-    from repro.semantics.plan import PlanCache, plan_for
+    from repro.semantics.plan import cached_plans, plan_for
 
     os.makedirs(directory, exist_ok=True)
     paths: list[str] = []
     for i, rule in enumerate(program.rules):
-        per_rule = PlanCache._plans.get(rule)
-        plans = list(per_rule.values()) if per_rule else []
+        plans = cached_plans(rule)
         if not plans:
             plans = [plan_for(rule, tuple(range(len(rule.positive_body()))))]
         for plan in plans:

@@ -34,9 +34,9 @@ drawn from the delta set instead of an index, exactly mirroring the
 interpreted twin — so one compiled plan covers every restricted
 variant of a join order.
 
-Plans are cached per rule (weakly) keyed on the join order, so the
+Plans are cached on the rule object, keyed on the join order, so the
 cheap size-driven ``_order_positive`` choice still runs per rule per
-stage and merely *selects* among cached plans.
+stage and merely *selects* among cached plans; they die with the rule.
 
 Match enumeration order is byte-for-byte the interpreted path's order:
 index buckets preserve insertion order, full scans iterate the
@@ -90,12 +90,15 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from typing import Hashable, Iterator
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary, ref
 
 from repro.ast.rules import EqLit, Lit, Rule
 from repro.relational.columnar import DeltaBlock
 from repro.relational.instance import Database
-from repro.semantics.codegen import CodegenPlan, compile_plan
+# ``compile_plan`` is bound here for CodegenPlan's miss path, which
+# compiles every variant through this module's binding (so a wrapper
+# installed on it sees each compile).
+from repro.semantics.codegen import CodegenPlan, compile_plan  # noqa: F401
 from repro.terms import Const, Var
 
 
@@ -127,19 +130,47 @@ class PlanCache:
     #: a batchable shape fall back to the scalar codegen variants.
     columnar: bool = True
 
-    #: rule → {join order (indices into positive_body) → RulePlan}.
-    #: Weak on the rule so plans die with the program; structurally
-    #: equal rules (spans excluded from Rule equality) share plans.
-    _plans: "WeakKeyDictionary[Rule, dict[tuple[int, ...], RulePlan]]" = (
-        WeakKeyDictionary()
-    )
+    #: A rule's plans ride on the rule object itself (attribute
+    #: ``_RULE_PLANS``), so the per-stage lookup is one attribute read
+    #: and the plans die with the rule (a plan references its rule, so
+    #: a cache keyed on the rule would keep both alive forever).
+    #: ``_shared`` lets structurally equal rules (spans excluded from
+    #: Rule equality) find and share those plans; it is weak on both
+    #: sides.  ``_owners`` (identity-keyed, weak) lists the rules
+    #: carrying plans, for :meth:`clear`.
+    _shared: "WeakKeyDictionary[Rule, ref[_RulePlans]]" = WeakKeyDictionary()
+    _owners: "WeakValueDictionary[int, Rule]" = WeakValueDictionary()
 
     @classmethod
     def clear(cls) -> None:
         """Drop every cached plan — and, with each plan, its codegen'd
         functions (``codegen_fns`` lives on the plan object, so the two
         caches cannot go out of sync)."""
-        cls._plans = WeakKeyDictionary()
+        for rule in list(cls._owners.values()):
+            rule.__dict__.pop(_RULE_PLANS, None)
+        cls._shared = WeakKeyDictionary()
+        cls._owners = WeakValueDictionary()
+
+
+class _RulePlans(dict):
+    """One rule's plans: join order (or ``(order, bound)``) → RulePlan.
+
+    A dict subclass only so :attr:`PlanCache._shared` can hold it
+    weakly.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+_RULE_PLANS = "_rule_plans"
+
+
+def cached_plans(rule: Rule) -> "list[RulePlan]":
+    """The plans cached for ``rule`` (or a structurally equal rule)."""
+    per_rule = getattr(rule, _RULE_PLANS, None)
+    if per_rule is None:
+        per_rule = _attach_plans(rule)
+    return list(per_rule.values())
 
 
 def active_matcher() -> str:
@@ -341,8 +372,9 @@ class RulePlan:
         #: every later occurrence compiles to an index key fill — the
         #: probes are restricted by the seed, not post-filtered.
         self.bound = bound
-        #: Lazily-built :class:`~repro.semantics.codegen.CodegenPlan`;
-        #: lives and dies with this plan object (see PlanCache.clear).
+        #: Lazily-built :class:`~repro.semantics.codegen.CodegenPlan`
+        #: (whose variants compile on first dispatch); lives and dies
+        #: with this plan object (see PlanCache.clear).
         self.codegen_fns = None
         #: Memoized :func:`plan_with_cover` twins, keyed by the applied
         #: per-step chain specs.  Planner contexts are per-evaluation,
@@ -645,7 +677,7 @@ class RulePlan:
         if PlanCache.columnar and PlanCache.codegen:
             fns = self.codegen_fns
             if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
+                fns = self.codegen_fns = CodegenPlan(self)
             rows = fns.run_walk_batch(db, adom, restricted_index, restricted)
             if rows is not None:
                 return rows
@@ -669,7 +701,7 @@ class RulePlan:
         if PlanCache.codegen:
             fns = self.codegen_fns
             if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
+                fns = self.codegen_fns = CodegenPlan(self)
             return fns.run(db, adom, restricted_index, restricted, seed)
         return self._run_interpreted(
             db, adom, restricted_index, restricted, seed
@@ -788,7 +820,7 @@ class RulePlan:
         if PlanCache.codegen:
             fns = self.codegen_fns
             if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
+                fns = self.codegen_fns = CodegenPlan(self)
             if (fns._emits is not None and relation == fns.head_relation
                     and fills == fns.head_fills):
                 if PlanCache.columnar:
@@ -924,14 +956,28 @@ def plan_for(
     caller-seeded variables (see :meth:`RulePlan.iter_seeded`); bound
     plans are cached alongside the unbound ones under a composite key.
     """
-    per_rule = PlanCache._plans.get(rule)
+    per_rule = getattr(rule, _RULE_PLANS, None)
     if per_rule is None:
-        per_rule = PlanCache._plans.setdefault(rule, {})
+        per_rule = _attach_plans(rule)
     key = order if not bound else (order, bound)
     plan = per_rule.get(key)
     if plan is None:
         plan = per_rule[key] = RulePlan(rule, order, bound)
     return plan
+
+
+def _attach_plans(rule: Rule) -> _RulePlans:
+    """Give a rule seen for the first time its (shared or new) plans."""
+    shared = PlanCache._shared.get(rule)
+    per_rule = shared() if shared is not None else None
+    if per_rule is None:
+        per_rule = _RulePlans()
+        PlanCache._shared[rule] = ref(per_rule)
+    # Rules are frozen dataclasses; the cache is not one of their fields,
+    # so equality and hashing never see it.
+    object.__setattr__(rule, _RULE_PLANS, per_rule)
+    PlanCache._owners[id(rule)] = rule
+    return per_rule
 
 
 def plan_with_cover(

@@ -398,3 +398,164 @@ class TestCliMatcherFlag:
         assert all(name.endswith(".py") for name in written)
         text = (dump / written[0]).read_text()
         assert "# codegen for rule:" in text
+
+
+@contextlib.contextmanager
+def _recorded_compiles():
+    """Record every ``(CodegenPlan, variant)`` compiled in the body.
+
+    Wraps the ``compile_plan`` bound in :mod:`repro.semantics.plan`,
+    the binding every on-demand compile goes through.
+    """
+    import repro.semantics.plan as plan_module
+
+    original = plan_module.compile_plan
+    compiled: list[tuple] = []
+
+    def recording(plan, variant=None):
+        if variant is not None:
+            compiled.append((plan, variant))
+        return original(plan, variant)
+
+    plan_module.compile_plan = recording
+    try:
+        yield compiled
+    finally:
+        plan_module.compile_plan = original
+
+
+def _salted_tc(salt: str):
+    """Nonlinear TC over fresh relation names, so no structurally equal
+    rule from another test shares (already compiled) plans with it."""
+    program = parse_program(
+        TC_NONLINEAR.replace("T", f"T{salt}").replace("G", f"G{salt}")
+    )
+    return program, lambda: graph_database(chain(16), relation=f"G{salt}")
+
+
+def _compiled_function_text(fn) -> str:
+    import linecache
+
+    return "".join(linecache.getlines(fn.__code__.co_filename))
+
+
+class TestLazyCompile:
+    """Variants compile on first dispatch, once, with the dumped text."""
+
+    def test_columnar_run_compiles_only_dispatched_variants(self):
+        program, db = _salted_tc("lz1")
+        with _tier("columnar"), _recorded_compiles() as compiled:
+            first = evaluate_datalog_seminaive(program, db())
+        kinds = {kind for _cg, (kind, _index) in compiled}
+        assert compiled
+        assert not any(kind.startswith("walk") for kind in kinds), kinds
+        # Each variant compiles once and lands in its plan's table.
+        assert len(set(compiled)) == len(compiled)
+        for cg, (kind, index) in compiled:
+            table = {"emit": cg._emits, "emit_batch": cg._batch_emits,
+                     "group": [None, *cg._groups]}[kind]
+            assert table[index + 1] is not None
+        # Nowhere near every variant: the eager module was all of them.
+        plans = {id(cg): cg for cg, _variant in compiled}.values()
+        available = sum(len(list(cg._variants())) for cg in plans)
+        assert len(compiled) < available / 2
+        # A second run of the held program dispatches to cached code.
+        with _tier("columnar"), _recorded_compiles() as again:
+            second = evaluate_datalog_seminaive(program, db())
+        assert again == []
+        assert first.answer("Tlz1") == second.answer("Tlz1")
+
+    def test_flip_to_codegen_compiles_scalar_variant_on_demand(self):
+        program, db = _salted_tc("lz2")
+        with _tier("columnar"), _recorded_compiles() as columnar:
+            batch = evaluate_datalog_seminaive(program, db())
+        # The exit rule's full pass ran only its batch kernel.
+        assert ("emit_batch", -1) in {v for _cg, v in columnar}
+        assert ("emit", -1) not in {v for _cg, v in columnar}
+        with _tier("codegen"), _recorded_compiles() as codegen:
+            scalar = evaluate_datalog_seminaive(program, db())
+        assert ("emit", -1) in {v for _cg, v in codegen}
+        assert not any(kind.endswith("batch") for _cg, (kind, _i) in codegen)
+        assert scalar.stats.matcher == "codegen"
+        assert scalar.answer("Tlz2") == batch.answer("Tlz2")
+        assert scalar.stats.rule_firings == batch.stats.rule_firings
+
+    def test_missing_batch_shape_is_cached(self):
+        from repro.terms import Var
+
+        # Bound (head-seeded) plans never batch: the first dispatch
+        # learns that once, later dispatches fall back without a retry.
+        program = parse_program(TC_NONLINEAR)
+        plan = plan_for(program.rules[1], (0, 1), bound=(Var("x"),))
+        cg = compile_plan(plan)
+        with _recorded_compiles() as compiled:
+            for _ in range(3):
+                assert cg.run_walk_batch(_tc_db(4), (), -1, None) is None
+        assert compiled == [(cg, ("walk_batch", -1))]
+        assert cg._batch_walks[0] is None
+
+    def test_lazy_function_text_matches_module_source(self):
+        from repro.ast.rules import make_rule, pos
+        from repro.terms import Const
+
+        # Two hoisted (non-literal) constants exercise the shared pool:
+        # compiling in reverse module order must not renumber them.
+        rule = make_rule(
+            pos("H", "x", "y"),
+            [pos("G", "x", Const(1.5)), pos("G", "x", "y"),
+             pos("G", "y", Const(2.5))],
+        )
+        cg = compile_plan(plan_for(rule, (0, 1, 2)))
+        variants = list(cg._variants())
+        kinds = {kind for kind, _index in variants}
+        assert kinds == {"walk", "emit", "walk_batch", "emit_batch", "group"}
+        compiled = 0
+        for variant in reversed(variants):
+            fn = compile_plan(cg, variant)
+            if fn is None:  # no batch shape: nothing to compare
+                continue
+            compiled += 1
+            text = _compiled_function_text(fn)
+            assert text.startswith(f"def {fn.__name__}(")
+            assert text in cg.source, variant
+        assert compiled >= len(variants) - 2
+        assert "_K0" in cg.source and "_K1" in cg.source
+
+
+class TestGeneratedCodeLifetime:
+    """Plans, functions and their linecache entries die with programs."""
+
+    def test_traceback_shows_emitted_lines_while_alive(self):
+        import gc
+        import linecache
+        import traceback
+
+        class Exploding:
+            def relation(self, name):
+                raise RuntimeError(f"no relation {name}")
+
+        program = parse_program(TC_NONLINEAR)
+        cg = compile_plan(plan_for(program.rules[1], (0, 1)))
+        with pytest.raises(RuntimeError) as info:
+            list(cg.run(Exploding(), (), -1, None))
+        text = "".join(traceback.format_exception(info.value))
+        assert "<codegen-" in text
+        assert "rel0 = db.relation('T')" in text
+        filename = cg._walks[0].__code__.co_filename
+        assert filename in linecache.cache
+        del cg, info
+        gc.collect()
+        assert filename not in linecache.cache
+
+    def test_salted_programs_leave_no_linecache_entries(self):
+        import gc
+        import linecache
+
+        salts = [f"lc{i}" for i in range(4)]
+        for salt in salts:
+            program, db = _salted_tc(salt)
+            evaluate_datalog_seminaive(program, db())
+            assert any(salt in name for name in linecache.cache)
+        del program, db
+        gc.collect()
+        assert not [n for n in linecache.cache if any(s in n for s in salts)]

@@ -188,6 +188,36 @@ class TestPlanRepresentation:
         assert a is not b and a == b
         assert plan_for(a, (0,)) is plan_for(b, (0,))
 
+    def test_plans_die_with_their_programs(self):
+        # Plans ride on their rule and the shared registry is weak on
+        # both sides, so dropping a program frees every plan of it.
+        import gc
+
+        from repro.semantics.seminaive import evaluate_datalog_seminaive
+
+        salts = [f"pk{i}" for i in range(4)]
+        for salt in salts:
+            program = parse_program(
+                f"T{salt}(x, y) :- G{salt}(x, y).\n"
+                f"T{salt}(x, y) :- G{salt}(x, z), T{salt}(z, y).\n"
+                f"T{salt}(x, y) :- T{salt}(x, z), T{salt}(z, y).\n"
+            )
+            edges = [(f"n{i}", f"n{i + 1}") for i in range(12)]
+            db = Database({f"G{salt}": edges})
+            evaluate_datalog_seminaive(program, db)
+
+        def surviving():
+            return [
+                plan for plan in gc.get_objects()
+                if isinstance(plan, RulePlan)
+                and any(salt in repr(plan.rule) for salt in salts)
+            ]
+
+        assert surviving()  # the last program is still held
+        del program, db
+        gc.collect()
+        assert surviving() == []
+
     def test_toggle_routes_to_interpreted(self):
         from repro.semantics.seminaive import evaluate_datalog_seminaive
 
