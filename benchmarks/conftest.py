@@ -11,19 +11,7 @@ the schema-pinned ``BENCH_engines.json`` artifact on exit (path
 overridable via ``REPRO_BENCH_ARTIFACT``) so the performance
 trajectory is machine-readable across commits.
 
-The matcher ablation (``test_kernel_ablation.py``) records
-:class:`~repro.obs.bench.KernelRecord` measurements through the
-``kernel_artifact`` fixture; those land in the schema-pinned
-``BENCH_kernel.json`` (path overridable via
-``REPRO_KERNEL_ARTIFACT``).
-
-The three-way matcher-tier ablation (``test_codegen_ablation.py``)
-records :class:`~repro.obs.bench.CodegenRecord` measurements through
-the ``codegen_artifact`` fixture; those land in the schema-pinned
-``BENCH_codegen.json`` (path overridable via
-``REPRO_CODEGEN_ARTIFACT``).
-
-The four-way columnar-tier ablation (``test_columnar_ablation.py``)
+The three-way matcher-tier ablation (``test_columnar_ablation.py``)
 records :class:`~repro.obs.bench.ColumnarRecord` measurements through
 the ``columnar_artifact`` fixture; those land in the schema-pinned
 ``BENCH_columnar.json`` (path overridable via
@@ -60,8 +48,6 @@ import os
 import pytest
 
 _RECORDS = []
-_KERNEL_RECORDS = []
-_CODEGEN_RECORDS = []
 _COLUMNAR_RECORDS = []
 _PLANNER_RECORDS = []
 _DIFFERENTIAL_RECORDS = []
@@ -75,10 +61,6 @@ _FEEDBACK_RECORDS = []
 _ARTIFACTS = (
     (_RECORDS, "write_bench_artifact",
      "REPRO_BENCH_ARTIFACT", "BENCH_engines.json"),
-    (_KERNEL_RECORDS, "write_kernel_artifact",
-     "REPRO_KERNEL_ARTIFACT", "BENCH_kernel.json"),
-    (_CODEGEN_RECORDS, "write_codegen_artifact",
-     "REPRO_CODEGEN_ARTIFACT", "BENCH_codegen.json"),
     (_COLUMNAR_RECORDS, "write_columnar_artifact",
      "REPRO_COLUMNAR_ARTIFACT", "BENCH_columnar.json"),
     (_PLANNER_RECORDS, "write_planner_artifact",
@@ -102,18 +84,6 @@ class _BenchArtifact:
         _RECORDS.append(BenchRecord.from_stats(benchmark, engine, size, stats))
 
 
-class _KernelArtifact:
-    """The ``kernel_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, matcher: str, size: int, stats) -> None:
-        from repro.obs.bench import KernelRecord
-
-        _KERNEL_RECORDS.append(
-            KernelRecord.from_stats(benchmark, matcher, size, stats)
-        )
-
-
 @pytest.fixture
 def bench_artifact():
     """Collects (benchmark, engine, size, EngineStats) measurements."""
@@ -132,30 +102,6 @@ class _PlannerArtifact:
         )
 
 
-@pytest.fixture
-def kernel_artifact():
-    """Collects (benchmark, matcher, size, EngineStats) ablation cells."""
-    return _KernelArtifact
-
-
-class _CodegenArtifact:
-    """The ``codegen_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, matcher: str, size: int, stats) -> None:
-        from repro.obs.bench import CodegenRecord
-
-        _CODEGEN_RECORDS.append(
-            CodegenRecord.from_stats(benchmark, matcher, size, stats)
-        )
-
-
-@pytest.fixture
-def codegen_artifact():
-    """Collects (benchmark, matcher tier, size, EngineStats) cells."""
-    return _CodegenArtifact
-
-
 class _ColumnarArtifact:
     """The ``columnar_artifact`` fixture's API: ``record(...)`` one cell."""
 
@@ -170,7 +116,7 @@ class _ColumnarArtifact:
 
 @pytest.fixture
 def columnar_artifact():
-    """Collects (benchmark, four-tier matcher, size, EngineStats) cells."""
+    """Collects (benchmark, three-tier matcher, size, EngineStats) cells."""
     return _ColumnarArtifact
 
 

@@ -1,20 +1,17 @@
-"""PERF — the four-way matcher-tier ablation behind ``BENCH_columnar.json``.
+"""PERF — the three-way matcher-tier ablation behind ``BENCH_columnar.json``.
 
 The same workload run under each matcher tier:
 
 * ``columnar`` — whole-delta batch kernels: semi-naive drivers freeze
-  deltas into columnar blocks and each ``walk_batch``/``emit_batch``
+  deltas into delta blocks and each ``walk_batch``/``emit_batch``
   variant consumes the entire block in one specialized list
   comprehension (rows unpacked into locals, index ``.get``\\ s hoisted,
   full-depth chain probes inlined), the default;
 * ``codegen`` — the same specialized Python, tuple at a time;
-* ``compiled`` — the slot-plan interpreter;
 * ``interpreted`` — the reference matcher.
 
 All cells run with the query planner on, so the deltas isolate the
-matcher tier itself.  Workloads are the repo's committed perf shapes
-(the same trio as the codegen ablation, so the two artifacts compose
-into one tier trajectory):
+matcher tier itself.  Workloads are the repo's committed perf shapes:
 
 * nonlinear transitive closure on a chain — the self-join probes the
   growing ``T`` through a hash index every stage; every delta pass is
@@ -24,7 +21,7 @@ into one tier trajectory):
 * the feedback ring — skewed fan-out joins where per-block hoisting of
   the index loads pays off.
 
-Shape asserted: all four tiers produce identical answers, stage
+Shape asserted: all three tiers produce identical answers, stage
 counts, and rule firings (each tier is an optimization, never a
 semantics change).  Wall-clock is recorded in the artifact rather than
 asserted — at CI smoke sizes the difference is noise; the committed
@@ -60,14 +57,13 @@ SIZES = [
     if s.strip()
 ]
 
-MATCHERS = ["columnar", "codegen", "compiled", "interpreted"]
+MATCHERS = ["columnar", "codegen", "interpreted"]
 
 
 def _with_tier(tier: str, run):
     """Run ``run()`` under *exactly* the given matcher tier."""
     # The defaults: the full stack, columnar on top.
-    assert (PlanCache.compiled_plans and PlanCache.codegen
-            and PlanCache.columnar)
+    assert PlanCache.compiled_plans and PlanCache.columnar
     with matcher_override(tier):
         return run()
 

@@ -18,7 +18,7 @@ Usage::
 * ``run`` evaluates under a chosen semantics and prints the idb
   relations (or one ``--answer`` relation); ``--trace-out FILE`` also
   writes the evaluation's event stream as JSON Lines; ``--matcher``
-  overrides the matcher tier (columnar/codegen/compiled/interpreted)
+  overrides the matcher tier (columnar/codegen/interpreted)
   and ``--dump-codegen DIR`` writes each rule's generated matcher
   source.
 * ``stats`` reports engine counters (``--format json`` is pinned by
@@ -463,13 +463,6 @@ def cmd_stats(args, out) -> int:
     with _matcher_override(args):
         result = engine(program, db)
     _maybe_save_stats(args, program, result)
-    # Memory-density report: measured on the final instance, additive
-    # in the stats schema (``storage`` stays None for engines whose
-    # results carry no database).
-    final_db = getattr(result, "database", None)
-    stats_obj = getattr(result, "stats", None)
-    if final_db is not None and stats_obj is not None:
-        stats_obj.storage = final_db.storage_report()
     if getattr(args, "format", "human") == "json":
         import json
 
@@ -479,21 +472,6 @@ def cmd_stats(args, out) -> int:
         print(json.dumps(document, indent=2), file=out)
     else:
         print(result.stats.summary(), file=out)
-        storage = getattr(stats_obj, "storage", None)
-        if storage is not None:
-            interner = storage["interner"]
-            print(
-                f"interner:          {interner['constants']} constants, "
-                f"{interner['bytes']} bytes",
-                file=out,
-            )
-            for name, rel in storage["relations"].items():
-                print(
-                    f"  {name}: {rel['rows']} rows, "
-                    f"set {rel['set_bytes']} B, "
-                    f"columns {rel['column_bytes']} B",
-                    file=out,
-                )
     return 0
 
 
@@ -593,7 +571,7 @@ def cmd_profile(args, out) -> int:
     )
     report = ProfileReport.from_events(collector.events, program=program)
     # Default traced runs route through the interpreted matcher; surface
-    # that so profile numbers are not read as compiled-kernel timings.
+    # that so profile numbers are not read as generated-kernel timings.
     # ``--planned`` keeps planner and kernel on (counters-only spans),
     # so there the matcher reads the full active tier — "columnar" by
     # default.  (The stable engine returns a model set with no stats —
@@ -937,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--matcher",
-        choices=("interpreted", "compiled", "codegen", "columnar"),
+        choices=("interpreted", "codegen", "columnar"),
         help="override the matcher tier for this run "
              "(default: columnar, the full stack)",
     )
@@ -968,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--matcher",
-        choices=("interpreted", "compiled", "codegen", "columnar"),
+        choices=("interpreted", "codegen", "columnar"),
         help="override the matcher tier for this run "
              "(default: columnar, the full stack)",
     )
@@ -1010,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--planned",
         action="store_true",
-        help="profile with the planner and compiled kernel left ON: "
+        help="profile with the planner and generated kernels left ON: "
         "counters-only rule spans (no per-literal join probes), planner "
         "join orders on each span, and the live planner report attached",
     )

@@ -1,5 +1,5 @@
 """Machine-readable benchmark artifacts: ``BENCH_engines.json`` and
-``BENCH_kernel.json``.
+its ablation twins.
 
 The benchmark suite under ``benchmarks/`` asserts *shapes* (who wins,
 what scales how); this module gives it a durable, machine-readable
@@ -10,32 +10,17 @@ firings, stage count — through the ``bench_artifact`` fixture in
 ``benchmarks/conftest.py``, and the session writes a single
 deterministic JSON document at exit.
 
-``BENCH_kernel.json`` is the matcher ablation twin: each
-:class:`KernelRecord` measures one (benchmark, matcher path, size)
-cell, where the matcher is ``"compiled"`` (the slot-plan kernel of
-:mod:`repro.semantics.plan`) or ``"interpreted"`` (the reference
-matcher with the kernel toggled off), recorded through the
-``kernel_artifact`` fixture.
-
-``BENCH_codegen.json`` is the three-way matcher-tier ablation: each
-:class:`CodegenRecord` measures one (benchmark, matcher tier, size)
-cell, where the tier is ``"codegen"`` (per-plan specialized Python
-emitted by :mod:`repro.semantics.codegen`, the default), ``"compiled"``
-(the slot-plan interpreter with codegen off), or ``"interpreted"``
-(the reference matcher), recorded through the ``codegen_artifact``
-fixture.
-
-``BENCH_columnar.json`` is the four-way matcher-tier ablation: each
+``BENCH_columnar.json`` is the matcher-tier ablation: each
 :class:`ColumnarRecord` measures one (benchmark, matcher tier, size)
 cell, where the tier is ``"columnar"`` (whole-delta batch kernels over
-columnar blocks, the default), ``"codegen"`` (per-plan specialized
-Python, tuple at a time), ``"compiled"`` (the slot-plan interpreter),
-or ``"interpreted"`` (the reference matcher), recorded through the
+delta blocks, the default), ``"codegen"`` (per-plan specialized
+Python from :mod:`repro.semantics.codegen`, tuple at a time), or
+``"interpreted"`` (the reference matcher), recorded through the
 ``columnar_artifact`` fixture.
 
 ``BENCH_planner.json`` is the query-planner ablation twin: each
 :class:`PlannerRecord` measures one (benchmark, planner on/off, size)
-cell — both cells under the compiled kernel, so the delta isolates the
+cell — both cells under compiled plans, so the delta isolates the
 cost-based join ordering, the shared index cover, and the SCC
 scheduling of :mod:`repro.semantics.planner` — recorded through the
 ``planner_artifact`` fixture.
@@ -58,8 +43,7 @@ previous run saved — see :mod:`repro.obs.store`), recorded through the
 All the schemas are pinned: the ``validate_*_artifact`` functions
 raise :class:`ValueError` on any drift, and CI runs them against the
 artifacts it uploads, so a schema change must be deliberate (bump
-``BENCH_SCHEMA_VERSION`` / ``KERNEL_SCHEMA_VERSION`` /
-``CODEGEN_SCHEMA_VERSION`` / ``COLUMNAR_SCHEMA_VERSION`` /
+``BENCH_SCHEMA_VERSION`` / ``COLUMNAR_SCHEMA_VERSION`` /
 ``PLANNER_SCHEMA_VERSION`` / ``DIFFERENTIAL_SCHEMA_VERSION`` /
 ``MAGIC_SCHEMA_VERSION`` / ``FEEDBACK_SCHEMA_VERSION``) rather than
 accidental.  The artifacts
@@ -251,201 +235,6 @@ def load_bench_artifact(path: str) -> list[BenchRecord]:
         return validate_bench_artifact(json.load(handle))
 
 
-# -- BENCH_kernel.json: compiled-vs-interpreted matcher ablation ------------
-
-#: Version of the BENCH_kernel.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-KERNEL_SCHEMA_VERSION = 1
-
-#: Exact key set of one kernel record.
-KERNEL_RECORD_FIELDS = (
-    "benchmark",
-    "matcher",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class KernelRecord:
-    """One (benchmark, matcher path, workload size) measurement."""
-
-    benchmark: str
-    matcher: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, matcher: str, size: int, stats
-    ) -> "KernelRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            matcher=matcher,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "matcher": self.matcher,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def kernel_artifact_dict(records: list[KernelRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, KERNEL_SCHEMA_VERSION, "matcher")
-
-
-def write_kernel_artifact(records: list[KernelRecord], path: str) -> None:
-    """Write ``BENCH_kernel.json`` (sorted records, sorted keys)."""
-    _write_artifact(kernel_artifact_dict(records), path)
-
-
-def validate_kernel_artifact(data: Any) -> list[KernelRecord]:
-    """Check a kernel artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown matcher).
-    """
-    return _validate_artifact(
-        data,
-        label="kernel",
-        version=KERNEL_SCHEMA_VERSION,
-        fields=KERNEL_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "matcher": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={"matcher": ("compiled", "interpreted")},
-        factory=KernelRecord,
-    )
-
-
-def load_kernel_artifact(path: str) -> list[KernelRecord]:
-    """Read and validate a kernel artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_kernel_artifact(json.load(handle))
-
-
-# -- BENCH_codegen.json: codegen/compiled/interpreted tier ablation -----------
-
-#: Version of the BENCH_codegen.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-CODEGEN_SCHEMA_VERSION = 1
-
-#: Exact key set of one codegen record.
-CODEGEN_RECORD_FIELDS = (
-    "benchmark",
-    "matcher",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class CodegenRecord:
-    """One (benchmark, matcher tier, workload size) measurement.
-
-    ``matcher`` is the full tier ladder: ``"codegen"`` (per-plan
-    specialized Python, the default), ``"compiled"`` (the PR 4
-    slot-plan interpreter with codegen off), or ``"interpreted"`` (the
-    reference matcher).  The tiers are semantics-preserving, so
-    ``rule_firings`` and ``stages`` must agree across all three cells
-    of a (benchmark, size) pair; ``seconds`` carries the speedup
-    evidence.
-    """
-
-    benchmark: str
-    matcher: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, matcher: str, size: int, stats
-    ) -> "CodegenRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            matcher=matcher,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "matcher": self.matcher,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def codegen_artifact_dict(records: list[CodegenRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, CODEGEN_SCHEMA_VERSION, "matcher")
-
-
-def write_codegen_artifact(records: list[CodegenRecord], path: str) -> None:
-    """Write ``BENCH_codegen.json`` (sorted records, sorted keys)."""
-    _write_artifact(codegen_artifact_dict(records), path)
-
-
-def validate_codegen_artifact(data: Any) -> list[CodegenRecord]:
-    """Check a codegen artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown matcher).
-    """
-    return _validate_artifact(
-        data,
-        label="codegen",
-        version=CODEGEN_SCHEMA_VERSION,
-        fields=CODEGEN_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "matcher": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={"matcher": ("codegen", "compiled", "interpreted")},
-        factory=CodegenRecord,
-    )
-
-
-def load_codegen_artifact(path: str) -> list[CodegenRecord]:
-    """Read and validate a codegen artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_codegen_artifact(json.load(handle))
-
-
 # -- BENCH_columnar.json: columnar batch-kernel tier ablation -----------------
 
 #: Version of the BENCH_columnar.json schema (same regime as
@@ -467,13 +256,12 @@ COLUMNAR_RECORD_FIELDS = (
 class ColumnarRecord:
     """One (benchmark, matcher tier, workload size) measurement.
 
-    ``matcher`` is the full four-tier ladder: ``"columnar"``
-    (whole-delta batch kernels consuming columnar blocks, the
-    default), ``"codegen"`` (per-plan specialized Python, tuple at a
-    time), ``"compiled"`` (the slot-plan interpreter), or
+    ``matcher`` is the full three-tier ladder: ``"columnar"``
+    (whole-delta batch kernels consuming delta blocks, the default),
+    ``"codegen"`` (per-plan specialized Python, tuple at a time), or
     ``"interpreted"`` (the reference matcher).  The tiers are
     semantics-preserving, so ``rule_firings`` and ``stages`` must
-    agree across all four cells of a (benchmark, size) pair;
+    agree across all three cells of a (benchmark, size) pair;
     ``seconds`` carries the speedup evidence.
     """
 
@@ -538,9 +326,7 @@ def validate_columnar_artifact(data: Any) -> list[ColumnarRecord]:
             "rule_firings": int,
             "stages": int,
         },
-        enums={
-            "matcher": ("columnar", "codegen", "compiled", "interpreted")
-        },
+        enums={"matcher": ("columnar", "codegen", "interpreted")},
         factory=ColumnarRecord,
     )
 
@@ -576,7 +362,7 @@ class PlannerRecord:
     SCC scheduling, the default) or ``"off"``
     (:class:`~repro.semantics.planner.QueryPlanner` disabled — the
     drivers' legacy global loops with the static greedy join order).
-    Both cells run the compiled kernel, so the delta isolates the
+    Both cells run compiled plans, so the delta isolates the
     planner itself.
     """
 

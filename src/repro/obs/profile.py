@@ -107,12 +107,12 @@ class ProfileReport:
 
     engine: str = ""
     #: Matcher tier of the profiled run.  Default profiles are collected
-    #: through the interpreted twin (the compiled and codegen kernels
-    #: have no probe hooks), so this is ``"interpreted"`` — recorded
-    #: explicitly so readers comparing against ``repro stats`` (codegen
-    #: by default) are not misled.  ``repro profile --planned`` keeps
-    #: the planner and the full matcher stack on (counters-only spans)
-    #: and reports the active tier — ``"codegen"`` by default.
+    #: through the interpreted oracle (the generated kernels have no
+    #: probe hooks), so this is ``"interpreted"`` — recorded explicitly
+    #: so readers comparing against ``repro stats`` (columnar by
+    #: default) are not misled.  ``repro profile --planned`` keeps the
+    #: planner and the full matcher stack on (counters-only spans) and
+    #: reports the active tier — ``"columnar"`` by default.
     matcher: str = ""
     seconds: float = 0.0
     stages: int = 0

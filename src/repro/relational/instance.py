@@ -39,16 +39,6 @@ Two physical index shapes coexist:
 Either shape can be dropped (:meth:`drop_index` /
 :meth:`drop_chain_index`) — the planner garbage-collects indexes its
 cover no longer needs, counted by :attr:`Relation.index_drops`.
-
-A third storage shape rides along the same lifecycle: the *interned
-column store* (:meth:`Relation.column_store`), the relation's facts as
-parallel ``array('q')`` columns of dense constant ids from the
-database's shared :class:`~repro.relational.columnar.Interner`.  Like
-the indexes it is built lazily on first request, maintained in place
-on every ``add``/``discard``/``clear`` while
-:attr:`Relation.incremental_maintenance` is on, and dropped otherwise.
-``Database.storage_report()`` prices the two representations against
-each other for ``repro stats``.
 """
 
 from __future__ import annotations
@@ -56,7 +46,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator
 
 from repro.errors import SchemaError
-from repro.relational.columnar import ColumnStore, Interner, storage_report
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 Fact = tuple[str, tuple[Hashable, ...]]
@@ -72,7 +61,6 @@ class Relation:
         "_indexes",
         "_chains",
         "_chain_counts",
-        "_store",
         "_version",
         "_index_builds",
         "_index_updates",
@@ -97,9 +85,6 @@ class Relation:
         #: Per-chain live statistics: ``counts[d]`` is the number of
         #: distinct key prefixes of length d+1 (planner fan-out input).
         self._chain_counts: dict[tuple[int, ...], list[int]] = {}
-        #: Interned column store, or None until :meth:`column_store`
-        #: activates it; maintained alongside the indexes thereafter.
-        self._store: ColumnStore | None = None
         self._version = 0
         self._index_builds = 0
         self._index_updates = 0
@@ -198,13 +183,10 @@ class Relation:
                 self._index_insert(t)
             if self._chains:
                 self._chain_insert(t)
-            if self._store is not None:
-                self._store.append(t)
         else:
             self._indexes.clear()
             self._chains.clear()
             self._chain_counts.clear()
-            self._store = None
         return True
 
     def add_batch(self, ts) -> list[tuple]:
@@ -214,7 +196,7 @@ class Relation:
         one ``set.update`` replace the per-fact ``add`` call chain.
         Callers pass engine-built tuples (head instantiations), so the
         per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Index, chain, and column-store maintenance
+        arity is verified.  Index and chain maintenance
         still runs per new tuple; returned order follows ``ts``.
         """
         tuples = self._tuples
@@ -237,15 +219,10 @@ class Relation:
             if self._chains:
                 for t in fresh:
                     self._chain_insert(t)
-            store = self._store
-            if store is not None:
-                for t in fresh:
-                    store.append(t)
         else:
             self._indexes.clear()
             self._chains.clear()
             self._chain_counts.clear()
-            self._store = None
         return fresh
 
     def discard(self, t: tuple) -> bool:
@@ -260,13 +237,10 @@ class Relation:
                 self._index_remove(t)
             if self._chains:
                 self._chain_remove(t)
-            if self._store is not None:
-                self._store.discard(t)
         else:
             self._indexes.clear()
             self._chains.clear()
             self._chain_counts.clear()
-            self._store = None
         return True
 
     def update(self, tuples: Iterable[tuple]) -> int:
@@ -291,13 +265,10 @@ class Relation:
                     counts = self._chain_counts[order]
                     for depth in range(len(counts)):
                         counts[depth] = 0
-                if self._store is not None:
-                    self._store.clear()
             else:
                 self._indexes.clear()
                 self._chains.clear()
                 self._chain_counts.clear()
-                self._store = None
 
     def replace(self, tuples: Iterable[tuple]) -> None:
         """Replace the whole content (used by while-language assignment)."""
@@ -309,28 +280,21 @@ class Relation:
             removed = self._tuples - new
             if len(added) + len(removed) <= len(new):
                 # Small diff: patch the live indexes in place.
-                store = self._store
                 for t in removed:
                     self._index_remove(t)
                     self._chain_remove(t)
-                    if store is not None:
-                        store.discard(t)
                 for t in added:
                     self._index_insert(t)
                     self._chain_insert(t)
-                    if store is not None:
-                        store.append(t)
             else:
                 # Wholesale change: cheaper to rebuild lazily.
                 self._indexes.clear()
                 self._chains.clear()
                 self._chain_counts.clear()
-                self._store = None
         else:
             self._indexes.clear()
             self._chains.clear()
             self._chain_counts.clear()
-            self._store = None
         self._tuples = new
         self._version += 1
 
@@ -546,22 +510,6 @@ class Relation:
         self._index_drops += 1
         return True
 
-    def column_store(self, interner: Interner) -> ColumnStore:
-        """This relation's facts as interned columns (lazy, maintained).
-
-        Built on first use from the live tuple set; thereafter kept in
-        sync incrementally by :meth:`add`/:meth:`discard`/:meth:`replace`
-        (same lifecycle as the hash and chain indexes — dropped when
-        ``incremental_maintenance`` is off or a wholesale replace makes
-        patching more expensive than rebuilding).
-        """
-        store = self._store
-        if store is None or store.interner is not interner:
-            store = ColumnStore(self.arity, interner, self._tuples)
-            if Relation.incremental_maintenance:
-                self._store = store
-        return store
-
     def copy(self) -> "Relation":
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)
@@ -619,7 +567,7 @@ class Database:
     arity is fixed by a first fact or an :meth:`ensure_relation` call.
     """
 
-    __slots__ = ("_relations", "_deferred", "_interner")
+    __slots__ = ("_relations", "_deferred")
 
     def __init__(
         self,
@@ -627,7 +575,6 @@ class Database:
     ):
         self._relations: dict[str, Relation] = {}
         self._deferred: set[str] = set()
-        self._interner: Interner | None = None
         if contents:
             for key, tuples in contents.items():
                 tuples = [t if isinstance(t, tuple) else tuple(t) for t in tuples]
@@ -747,28 +694,6 @@ class Database:
         return DatabaseSchema(
             [RelationSchema(rel.name, rel.arity) for rel in self._relations.values()]
         )
-
-    def interner(self) -> Interner:
-        """The database's shared constant interner (created on first use).
-
-        One interner per database keeps ids consistent across relations;
-        clones start with a fresh interner so ids never leak between
-        instances that then diverge.
-        """
-        if self._interner is None:
-            self._interner = Interner()
-        return self._interner
-
-    def column_store(self, name: str) -> ColumnStore | None:
-        """The named relation's interned column store (None if absent)."""
-        rel = self._relations.get(name)
-        if rel is None:
-            return None
-        return rel.column_store(self.interner())
-
-    def storage_report(self) -> dict:
-        """Per-relation set-vs-columns byte densities (see columnar module)."""
-        return storage_report(self)
 
     def copy(self) -> "Database":
         clone = Database()

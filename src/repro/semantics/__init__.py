@@ -22,8 +22,10 @@ Nondeterministic engines:
   (§5.3).
 
 All engines share the rule matcher in :mod:`repro.semantics.base`,
-which by default runs rules through the compiled slot-plan kernel of
-:mod:`repro.semantics.plan` (toggle: ``PlanCache.compiled_plans``).
+which by default runs rules through compiled plans
+(:mod:`repro.semantics.plan`) executed as generated code
+(:mod:`repro.semantics.codegen`); ``PlanCache.compiled_plans`` off
+selects the interpreted oracle.
 """
 
 from repro.semantics.base import (

@@ -16,19 +16,20 @@ the full active domain, exactly as the paper's semantics prescribes
 
 Three matcher tiers produce those instantiations:
 
-* the **codegen** tier (:mod:`repro.semantics.codegen`, the default) —
-  each plan additionally compiles to specialized Python source
-  (``PlanCache.codegen``), dispatched inside the plan itself;
-* the **compiled** kernel (:mod:`repro.semantics.plan`) —
-  each (rule, join order) is compiled once into a flat slot-based plan
-  and executed as an iterative walk over candidate tuples;
-* the **interpreted** twin below — the direct recursive-generator
-  implementation, which also serves as the reference semantics, the
-  ablation baseline (``PlanCache.compiled_plans = False``), and the
-  path every traced run takes (the obs :class:`~repro.obs.JoinProbe`
-  hooks between its candidate lookup and valuation extension).
+* the **columnar** tier (the default) — each (rule, join order)
+  compiles once into a :mod:`repro.semantics.plan` description, which
+  :mod:`repro.semantics.codegen` turns into specialized Python; stage
+  deltas travel as blocks, and whole-delta batch kernels consume them;
+* the **codegen** tier — the same generated code, scalar variants
+  only, one delta row at a time (``PlanCache.columnar`` off);
+* the **interpreted** matcher below — the direct recursive-generator
+  implementation, which serves as the reference semantics (the
+  oracle), the ablation baseline (``PlanCache.compiled_plans`` off),
+  and the path every traced run takes (the obs
+  :class:`~repro.obs.JoinProbe` hooks between its candidate lookup and
+  valuation extension).
 
-Both paths enumerate matches in the same order and must stay
+Every tier enumerates matches in the same order and must stay
 byte-for-byte equivalent; ``tests/test_plan_kernel.py`` and the
 differential suites pin that equivalence.
 """
@@ -47,8 +48,9 @@ from repro.semantics.plan import PlanCache, active_matcher, plan_for
 from repro.terms import Const, Var, apply_valuation
 
 #: Version of the ``repro stats --format json`` schema.  Bump on any
-#: field rename/removal; additions are allowed.
-STATS_SCHEMA_VERSION = 1
+#: field rename/removal; additions are allowed.  Version 2 dropped the
+#: ``storage`` key.
+STATS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -112,9 +114,9 @@ class EngineStats:
     engine: str = ""
     #: Which matcher tier produced the instantiations: ``"columnar"``
     #: (whole-delta batch kernels, the default), ``"codegen"``
-    #: (specialized per-plan scalar functions), ``"compiled"`` (the
-    #: slot-plan kernel) or ``"interpreted"`` (the reference path,
-    #: always used when a tracer observes the run).
+    #: (specialized per-plan scalar functions) or ``"interpreted"``
+    #: (the reference path, always used when a tracer observes the
+    #: run).
     matcher: str = ""
     seconds: float = 0.0
     rule_firings: int = 0
@@ -137,12 +139,6 @@ class EngineStats:
     #: ``json.dumps``-able; populated only by
     #: :class:`repro.semantics.differential.DifferentialEngine`.
     differential: dict | None = None
-    #: Memory-density report (per-relation bytes as a set of tuples vs
-    #: as interned columns, plus interner size), or ``None`` when no
-    #: caller measured it.  Populated by ``repro stats`` from
-    #: :meth:`repro.relational.instance.Database.storage_report`; a
-    #: plain dict under the additive-changes rule like ``planner``.
-    storage: dict | None = None
     stages: list[StageStats] = field(default_factory=list)
 
     @property
@@ -196,10 +192,9 @@ class EngineStats:
     def to_dict(self) -> dict:
         """The pinned JSON shape of ``repro stats --format json``.
 
-        ``matcher``, ``index_drops``, ``planner``, ``differential`` and
-        ``storage`` were added under the additive-changes rule of
-        ``STATS_SCHEMA_VERSION``; everything else is the version-1
-        shape.
+        ``matcher``, ``index_drops``, ``planner`` and ``differential``
+        were added under the additive-changes rule of
+        ``STATS_SCHEMA_VERSION``; version 2 removed ``storage``.
         """
         return {
             "engine": self.engine,
@@ -214,7 +209,6 @@ class EngineStats:
             "index_drops": self.index_drops,
             "planner": self.planner,
             "differential": self.differential,
-            "storage": self.storage,
             "stages": [s.to_dict() for s in self.stages],
         }
 

@@ -1,38 +1,36 @@
 """Source-emitting backend: each :class:`~repro.semantics.plan.RulePlan`
-compiled to specialized Python.
+compiled to specialized Python — the matcher's production executor.
 
-PR 4's slot-plan kernel removed the per-candidate term walking of the
-interpreted matcher, but :meth:`RulePlan._run` is still a generic
-interpreter: every candidate tuple pays a loop over ``Step`` records,
-``binds``/``withins`` tuples, and an ``iters`` backtracking stack that
-encode the *rule*, not the data.  None of that varies at runtime, so
-this module compiles it away entirely: each plan gets one specialized
-Python function per semi-naive variant, and each function is emitted,
-compiled and bound the first time a run dispatches to it (most
-variants of most plans never run, and compiling them all up front
-was most of a new program's run time).  :attr:`CodegenPlan.source`
+A plan is a static description of one join order: ``Step`` records,
+``binds``/``withins`` tuples, check and emitter templates.  They
+encode the *rule*, not the data, so nothing about them varies at
+runtime: this module turns them into literal Python.  Each plan gets
+one specialized function per semi-naive variant, and each function is
+emitted, compiled and bound the first time a run dispatches to it
+(most variants of most plans never run, and compiling them all up
+front would dominate a new program's run time).  :attr:`CodegenPlan.source`
 emits the plan's whole module on demand for debugging (``repro run
 --dump-codegen DIR`` writes it out); each function's text in it is
 exactly what its lazy compile ran.
 
 Per plan the variants are:
 
-* ``walk_full`` / ``walk_r{i}`` — generator twins of
+* ``walk_full`` / ``walk_r{i}`` — the generator walks behind
   :meth:`RulePlan._run`: the full-pass walk and one variant per step
   ``i`` with that step's candidates drawn from the delta.  The join
   becomes literal nested ``for`` loops; index keys are tuple displays
   over baked constants and slot reads; repeat checks and residual
   (in)equalities are inline ``if``\\ s with constant indices.
-* ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head twins
-  of :meth:`RulePlan.run_emit`.  These drop the slot list for flat
+* ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head walks
+  behind :meth:`RulePlan.run_emit`.  These drop the slot list for flat
   locals (``v0, v1, …``) and bake the head template into the ``add``
   call.  Because the fused path never yields, nothing can mutate the
   database mid-walk, so these variants also skip the defensive bucket
   snapshots (``list(bucket)`` / ``list(rel)``) and probe chain tries
-  through :meth:`Relation.probe_chain_live` — the main reason the tier
-  beats the plan interpreter.
-* ``group_r{i}`` — the delta grouping of ``_run`` with the key
-  positions baked in.
+  through :meth:`Relation.probe_chain_live`.
+* ``group_r{i}`` — a restricted variant's delta grouped by the
+  restricted step's key positions (baked in), so each probe into the
+  delta is one hash lookup.
 * ``emit_batch_full``/``emit_batch_r0`` and
   ``walk_batch_full``/``walk_batch_r0`` — the columnar tier's batch
   kernels (:func:`_emit_batch`): one list comprehension per variant
@@ -56,12 +54,12 @@ yield, so no consumer can create the relation mid-walk), and the flat
 index table is fetched once per walk at first probe instead of per
 probe (the live table dict is stable within a walk).
 
-The tier sits behind :attr:`PlanCache.codegen` (default on; precedence
-codegen > compiled > interpreted) and is dispatched per call inside
-``RulePlan._run`` / ``RulePlan.run_emit``, so flipping the toggle
-mid-session bypasses compiled functions immediately — no staleness
-window; a tier flipped on compiles its variants on their first
-dispatch.  Compiled functions are cached on the plan object itself
+Every plan run dispatches here (``RulePlan._run`` / ``run_emit`` /
+``run_rows``); :attr:`PlanCache.columnar` picks, per call, between the
+batch kernels and the scalar variants, and a variant the flip selects
+compiles on its first dispatch.  The ``interpreted`` tier (plans off)
+bypasses plans, and with them this module, altogether.  Compiled
+functions are cached on the plan object itself
 (``RulePlan.codegen_fns``): they die with the plan on
 :meth:`PlanCache.clear`, planner replans build fresh plans (hence fresh
 functions), and :func:`~repro.semantics.plan.plan_with_cover` resets
@@ -194,8 +192,8 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
             in_loop = True
         elif step.exact:
             # Fully bound: a membership probe, not a loop.  ``continue``
-            # statements below still behave exactly like the interpreted
-            # walk's single-candidate iterator exhausting.
+            # statements below behave exactly like a single-candidate
+            # loop exhausting.
             src.add(indent, f"if {_tuple_expr(key)} in rel{d}:")
         elif step.chain_order is not None:
             chain_key = _tuple_expr([key[i] for i in step.chain_perm])
@@ -595,7 +593,8 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
 
 
 def _emit_group(src: _Source, index: int, positions) -> str:
-    """The delta grouping of ``_run`` with key positions baked in."""
+    """Group a delta by one step's key positions (baked in), keeping
+    the delta's own enumeration order within each key."""
     name = f"group_r{index}"
     key = _tuple_expr([f"t[{p}]" for p in positions])
     src.add(0, f"def {name}(restricted):")
@@ -628,10 +627,9 @@ class CodegenPlan:
     ``emit_*``, ``walk_batch_*``, ``emit_batch_*``, ``group_r*`` — is
     emitted, compiled and bound the first time ``run``/``run_emit``/
     ``run_emit_batch``/``run_walk_batch`` dispatches to it, then cached
-    in its table.  ``run``/``run_emit`` mirror the signatures
-    ``RulePlan._run`` / ``RulePlan.run_emit`` dispatch with (minus the
-    head spec, which is baked — callers verify it against
-    ``head_relation``/``head_fills`` before dispatching).
+    in its table.  ``run``/``run_emit`` take the arguments
+    ``RulePlan._run`` / ``RulePlan.run_emit`` dispatch with; the head
+    spec is baked into the fused variants.
     """
 
     __slots__ = (
@@ -639,7 +637,6 @@ class CodegenPlan:
         "rule_text",
         "n_slots",
         "head_relation",
-        "head_fills",
         # Hoisted-constant pool shared by every variant, so one
         # constant has one name in all of them and in ``source``.
         "_consts",
@@ -667,14 +664,11 @@ class CodegenPlan:
         self._groups = [None] * len(plan.steps)
         self._batch_walks = [_PENDING, _PENDING]
         if _emittable(plan):
-            relation, _template, fills, _positive = plan.emitters[0]
-            self.head_relation = relation
-            self.head_fills = fills
+            self.head_relation = plan.emitters[0][0]
             self._emits = [None] * n_variants
             self._batch_emits = [_PENDING, _PENDING]
         else:
             self.head_relation = None
-            self.head_fills = None
             self._emits = None
             self._batch_emits = [None, None]
 
@@ -732,7 +726,7 @@ class CodegenPlan:
 
     def run(self, db, adom, restricted_index: int, restricted,
             seed=None) -> Iterator:
-        """Generator twin of the interpreted ``_run``.
+        """The generator walk: every match as the (reused) slot list.
 
         ``seed`` pre-fills the leading (bound) slots — the differential
         engine's head-seeded rederivation probes; the generated walks
@@ -757,7 +751,8 @@ class CodegenPlan:
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
                  out: set) -> int:
-        """Fused twin of ``RulePlan.run_emit``; returns firings."""
+        """Fused scalar walk adding head facts to ``out``; returns
+        firings."""
         if restricted_index < 0:
             fn = self._emits[0]
             if fn is None:

@@ -30,7 +30,7 @@ All bulk propagation (insertion deltas, over-deletion frontiers,
 affected-fact discovery) goes through
 :func:`repro.semantics.base.immediate_consequences` on a per-component
 subprogram, which dispatches to the cost-based planner and the
-compiled slot-plan kernel — never a hand-rolled interpreted loop —
+generated plan kernels — never a hand-rolled interpreted loop —
 and deltas freeze to columnar blocks so those passes take the batch
 kernels.  The head-bound matcher used for exact recounts and
 rederivation support checks, :func:`_iter_bound_matches`, also rides

@@ -1,12 +1,13 @@
-"""Compiled rule plans: a slot-based join kernel for the shared matcher.
+"""Compiled rule plans: the shared matcher's production executor.
 
 :func:`repro.semantics.base.iter_matches` evaluates a rule body as a
-backtracking join.  The interpreted path re-derives everything per
-partial valuation: it splits each literal into bound/free positions
-with ``isinstance`` tests, builds index keys term by term, and threads
-a ``dict[Var, value]`` through nested generators.  None of that depends
-on the data — only on the rule and the chosen join order — so this
-module compiles it away once per (rule, join order):
+backtracking join.  The interpreted path (the semantic oracle)
+re-derives everything per partial valuation: it splits each literal
+into bound/free positions with ``isinstance`` tests, builds index keys
+term by term, and threads a ``dict[Var, value]`` through nested
+generators.  None of that depends on the data — only on the rule and
+the chosen join order — so this module compiles it away once per
+(rule, join order) into a :class:`RulePlan`:
 
 * each positive literal becomes a :class:`Step` — a static record of
   its index-key template (constants prefilled, bound-variable slots
@@ -21,17 +22,13 @@ module compiles it away once per (rule, join order):
   :func:`~repro.semantics.base.immediate_consequences` can produce head
   facts without ever materializing a valuation dict.
 
-The runtime inner loop (:meth:`RulePlan.iter_slot_matches`) is an
-iterative backtracking walk over flat candidate tuples and one
-fixed-size slot list — no ``isinstance``, no per-candidate term
-walking, no dict churn.  Valuations remain dicts at the API boundary:
+A plan is a description, not an executor: every run dispatches to the
+functions :mod:`repro.semantics.codegen` generates from it (a
+:class:`~repro.semantics.codegen.CodegenPlan` cached on the plan as
+``codegen_fns``).  Valuations remain dicts at the API boundary:
 ``iter_matches`` reconstructs one (reused) dict per match from
-``RulePlan.out_vars``.
-
-Semi-naive delta restriction reuses the same compiled steps: the plan
-is executed once per touched literal index with that step's candidates
-drawn from the delta set instead of an index, exactly mirroring the
-interpreted twin — so one compiled plan covers every restricted
+``RulePlan.out_vars``.  Semi-naive delta restriction is one generated
+variant per restricted step, so one plan covers every restricted
 variant of a join order.
 
 Plans are cached on the rule object, keyed on the join order, so the
@@ -43,46 +40,27 @@ index buckets preserve insertion order, full scans iterate the
 relation's tuple set, restricted runs iterate the delta frozenset, and
 adom-enumerated variables are ordered by name — all exactly as the
 interpreted twin does.  Engines seeded on match order (choice,
-nondeterministic) therefore produce identical runs under either
-matcher.
+nondeterministic) therefore produce identical runs under every tier.
 
-The whole layer sits behind :attr:`PlanCache.compiled_plans`
-(mirroring ``Relation.incremental_maintenance``): flipping it off
-routes every engine through the interpreted matcher, which the
-benchmark suite uses to ablate compiled vs interpreted
-(``BENCH_kernel.json``).
+The matcher ladder has three rungs, named by :func:`active_matcher`:
 
-On top of the plan interpreter sits a third tier,
-:attr:`PlanCache.codegen` (default on): ``_run``/``run_emit`` dispatch
-per call to functions *generated from the plan* by
-:mod:`repro.semantics.codegen` — the walk above with the step dispatch,
-slot lists, and check loops compiled into literal Python.  Precedence
-is codegen > compiled > interpreted; traced runs still drop to the
-interpreted matcher upstream so per-literal ``JoinProbe`` counts stay
-exact.  The compiled functions are cached on the plan itself
-(``codegen_fns``), so they are invalidated exactly when the plan is:
-:meth:`PlanCache.clear` drops the plans (and their functions) together,
-a planner replan selects or builds a different plan object, and
-:func:`plan_with_cover` resets the slot on its chain-probing twin.
-``BENCH_codegen.json`` carries the three-way ablation.
+* ``interpreted`` — :attr:`PlanCache.compiled_plans` off: every engine
+  runs the :mod:`repro.semantics.base` oracle;
+* ``codegen`` — plans on, :attr:`PlanCache.columnar` off: the scalar
+  generated walks, one delta row at a time;
+* ``columnar`` (the default) — semi-naive drivers freeze each stage's
+  delta through :func:`make_delta` into a :class:`DeltaBlock`, and
+  ``run_emit``/``run_rows`` dispatch to the ``emit_batch_*``/
+  ``walk_batch_*`` kernels: one list comprehension that consumes the
+  whole block instead of resuming a generator frame per tuple.  The
+  generator flavor (``iter_matches`` and the seeded engines) keeps the
+  scalar walk: a batch kernel materializes its whole result, which is
+  exactly what consumers that mutate between yields must not see.
 
-The fourth and top tier is *columnar batch execution*
-(:attr:`PlanCache.columnar`, default on; precedence columnar > codegen
-> compiled > interpreted).  Semi-naive drivers freeze each stage's
-delta through :func:`make_delta`, which wraps it in a
-:class:`~repro.relational.columnar.DeltaBlock` — the frozen fact set
-plus its rows/columns — and ``run_emit``/``run_rows`` dispatch to the
-``emit_batch_*``/``walk_batch_*`` kernels codegen emits alongside the
-scalar variants: one list comprehension that consumes the whole block
-(rows unpacked into locals, probe ``.get``\\ s hoisted, chain-trie
-walks inlined) instead of resuming a generator frame per tuple.  The
-generator flavor (``iter_matches`` and the seeded engines) keeps the
-scalar walk: a batch kernel materializes its whole result, which is
-exactly what consumers that mutate between yields must not see.
-
-:func:`matcher_override` is the one sanctioned way to flip tiers
-temporarily (CLI ``--matcher``, benchmarks, tests): it restores all
-three class toggles even when the body raises.
+Traced runs drop to the interpreted matcher upstream so per-literal
+``JoinProbe`` counts stay exact.  :func:`matcher_override` is the one
+sanctioned way to flip tiers temporarily (CLI ``--matcher``,
+benchmarks, tests): it restores the toggles even when the body raises.
 """
 
 from __future__ import annotations
@@ -93,7 +71,6 @@ from typing import Hashable, Iterator
 from weakref import WeakKeyDictionary, WeakValueDictionary, ref
 
 from repro.ast.rules import EqLit, Lit, Rule
-from repro.relational.columnar import DeltaBlock
 from repro.relational.instance import Database
 # ``compile_plan`` is bound here for CodegenPlan's miss path, which
 # compiles every variant through this module's binding (so a wrapper
@@ -106,28 +83,25 @@ class PlanCache:
     """The compiled-plan registry and its class-wide toggles."""
 
     #: Class-wide switch.  When True (the default), ``iter_matches`` and
-    #: ``immediate_consequences`` run compiled plans; when False, every
-    #: engine uses the interpreted matcher (the pre-kernel behavior).
-    #: The benchmark suite flips this to measure the kernel's win;
-    #: production code should never touch it.
+    #: ``immediate_consequences`` run compiled plans through their
+    #: generated code; when False, every engine uses the interpreted
+    #: oracle.  Flip it only through :func:`matcher_override`.
     compiled_plans: bool = True
 
-    #: Third matcher tier: when True (the default) and
-    #: ``compiled_plans`` is on, plans execute the specialized functions
-    #: :mod:`repro.semantics.codegen` emits for them instead of the
-    #: generic slot walk below.  Checked per ``_run``/``run_emit`` call,
-    #: so flipping it mid-session bypasses (without discarding) any
-    #: already-compiled functions immediately.
+    #: Always True; no engine code reads it.  Plans have no executor
+    #: besides their generated code, so there is nothing to switch
+    #: off.  It stays a class constant because external tier checks
+    #: (the benchmark's default-flag guard) read it.
     codegen: bool = True
 
-    #: Fourth matcher tier: when True (the default) and the codegen
-    #: tier is active, ``run_emit``/``run_rows`` dispatch to the batch
-    #: kernels (``emit_batch_*``/``walk_batch_*``) and the semi-naive
-    #: drivers wrap stage deltas in
-    #: :class:`~repro.relational.columnar.DeltaBlock`\\ s via
-    #: :func:`make_delta`.  Checked per call like ``codegen``, so
-    #: flipping it mid-session takes effect immediately; plans without
-    #: a batchable shape fall back to the scalar codegen variants.
+    #: When True (the default) and ``compiled_plans`` is on,
+    #: ``run_emit``/``run_rows`` dispatch to the batch kernels
+    #: (``emit_batch_*``/``walk_batch_*``) and the semi-naive drivers
+    #: wrap stage deltas in :class:`DeltaBlock`\\ s via
+    #: :func:`make_delta`; when False, plans run the scalar generated
+    #: walks.  Checked per call, so flipping it between runs takes
+    #: effect immediately; plans without a batchable shape fall back to
+    #: the scalar variants either way.
     columnar: bool = True
 
     #: A rule's plans ride on the rule object itself (attribute
@@ -143,7 +117,7 @@ class PlanCache:
 
     @classmethod
     def clear(cls) -> None:
-        """Drop every cached plan — and, with each plan, its codegen'd
+        """Drop every cached plan — and, with each plan, its generated
         functions (``codegen_fns`` lives on the plan object, so the two
         caches cannot go out of sync)."""
         for rule in list(cls._owners.values()):
@@ -176,23 +150,20 @@ def cached_plans(rule: Rule) -> "list[RulePlan]":
 def active_matcher() -> str:
     """The matcher tier an untraced run will use right now.
 
-    ``"columnar"`` > ``"codegen"`` > ``"compiled"`` > ``"interpreted"``:
-    each tier only applies on top of the ones below it, so turning a
-    lower toggle off wins regardless of the toggles above.
+    ``"columnar"`` > ``"codegen"`` > ``"interpreted"``: the batch
+    kernels only apply on top of compiled plans, so turning
+    ``compiled_plans`` off wins regardless of ``columnar``.
     """
     if not PlanCache.compiled_plans:
         return "interpreted"
-    if not PlanCache.codegen:
-        return "compiled"
     return "columnar" if PlanCache.columnar else "codegen"
 
 
-#: Tier name → (compiled_plans, codegen, columnar) toggle settings.
+#: Tier name → (compiled_plans, columnar) toggle settings.
 _TIER_FLAGS = {
-    "interpreted": (False, False, False),
-    "compiled": (True, False, False),
-    "codegen": (True, True, False),
-    "columnar": (True, True, True),
+    "interpreted": (False, False),
+    "codegen": (True, False),
+    "columnar": (True, True),
 }
 
 
@@ -201,7 +172,7 @@ def matcher_override(matcher: str | None):
     """Temporarily force one matcher tier; restore the toggles on exit.
 
     The single sanctioned way to flip :class:`PlanCache`'s class-level
-    toggles (CLI ``--matcher``, benchmark ablations, tests): all three
+    toggles (CLI ``--matcher``, benchmark ablations, tests): both
     flags are saved before the switch and restored in a ``finally``, so
     an exception mid-run cannot leak a flipped toggle into later
     evaluations.  ``None`` means "leave the tiers alone" (no-op), which
@@ -211,20 +182,12 @@ def matcher_override(matcher: str | None):
         yield
         return
     flags = _TIER_FLAGS[matcher]  # unknown names raise before flipping
-    saved = (
-        PlanCache.compiled_plans,
-        PlanCache.codegen,
-        PlanCache.columnar,
-    )
+    saved = (PlanCache.compiled_plans, PlanCache.columnar)
     try:
-        PlanCache.compiled_plans, PlanCache.codegen, PlanCache.columnar = flags
+        PlanCache.compiled_plans, PlanCache.columnar = flags
         yield
     finally:
-        (
-            PlanCache.compiled_plans,
-            PlanCache.codegen,
-            PlanCache.columnar,
-        ) = saved
+        PlanCache.compiled_plans, PlanCache.columnar = saved
 
 
 @contextmanager
@@ -253,24 +216,51 @@ def kernel_difference():
         CodegenPlan.subtract_known = saved
 
 
+class DeltaBlock:
+    """One relation's semi-naive delta as a batch of rows.
+
+    ``facts`` is the frozen delta set (membership tests); ``rows`` fixes
+    its enumeration order once, so the ``*_batch_*`` kernels unpack a
+    tuple instead of re-iterating the set.  A block is a drop-in for
+    the frozenset it wraps everywhere a delta flows: iteration yields
+    the identical row sequence, so flipping the columnar tier cannot
+    perturb seeded engines.
+    """
+
+    __slots__ = ("facts", "rows")
+
+    def __init__(self, facts: frozenset[tuple]):
+        self.facts = facts
+        self.rows = tuple(facts)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)
+
+    def __contains__(self, t: tuple) -> bool:
+        return t in self.facts
+
+    def __repr__(self) -> str:
+        return f"DeltaBlock({len(self.rows)} rows)"
+
+
 def make_delta(facts) -> "frozenset[tuple] | DeltaBlock":
     """Freeze one relation's stage delta for the next semi-naive pass.
 
-    Under the full columnar stack non-empty deltas become
-    :class:`~repro.relational.columnar.DeltaBlock`\\ s — the frozen set
-    plus its row/column slices, ready for the batch kernels — otherwise
-    a plain ``frozenset``.  A block iterates in exactly the frozenset's
+    Under the columnar tier non-empty deltas become
+    :class:`DeltaBlock`\\ s, ready for the batch kernels; otherwise a
+    plain ``frozenset``.  A block iterates in exactly the frozenset's
     enumeration order, so every row-at-a-time consumer (including the
     seeded engines and the scalar fallbacks) sees the same sequence
     under either wrapping.
     """
     frozen = frozenset(facts)
-    if (
-        frozen
-        and PlanCache.columnar
-        and PlanCache.codegen
-        and PlanCache.compiled_plans
-    ):
+    if frozen and PlanCache.columnar and PlanCache.compiled_plans:
         return DeltaBlock(frozen)
     return frozen
 
@@ -282,10 +272,11 @@ class Step:
     runs (constants and already-bound variables, in position order —
     the same tuple the interpreted path indexes on, so both matchers
     share the relation's index cache).  ``key_template``/``key_fills``
-    build the index key without walking terms: constants are prefilled,
-    fills patch bound slots in.  ``binds`` are the (position → slot)
-    pairs this step binds; ``withins`` are (position, earlier position)
-    equality checks for variables repeated *within* the literal.
+    spell the index key without walking terms: constants are
+    prefilled, fills name the bound slots patched in.  ``binds`` are the
+    (position → slot) pairs this step binds; ``withins`` are (position,
+    earlier position) equality checks for variables repeated *within*
+    the literal.
     ``exact`` marks a fully-bound literal (membership probe, no index).
 
     A step normally probes the flat index on ``key_positions``.  The
@@ -293,8 +284,7 @@ class Step:
     its minimal cover (:func:`plan_with_cover`): ``chain_order`` names
     the trie's column order, ``chain_depth`` how many levels this
     step's key binds, and ``chain_perm`` re-orders the built key (which
-    is in position order) into column order.  ``chain_key`` is the
-    permuted key precomputed when it is constant.
+    is in position order) into column order.
     """
 
     __slots__ = (
@@ -302,14 +292,12 @@ class Step:
         "key_positions",
         "key_template",
         "key_fills",
-        "key",
         "binds",
         "withins",
         "exact",
         "chain_order",
         "chain_depth",
         "chain_perm",
-        "chain_key",
     )
 
     def __init__(
@@ -323,17 +311,14 @@ class Step:
     ):
         self.relation = relation
         self.key_positions = key_positions
-        self.key_template = list(key_template)
+        self.key_template = key_template
         self.key_fills = key_fills
-        #: Constant key, precomputed when no slot ever patches it.
-        self.key = tuple(key_template) if not key_fills else None
         self.binds = binds
         self.withins = withins
         self.exact = bool(key_positions) and not binds and not withins
         self.chain_order = None
         self.chain_depth = 0
         self.chain_perm = ()
-        self.chain_key = None
 
 
 class RulePlan:
@@ -353,7 +338,6 @@ class RulePlan:
         "post_checks",
         "out_vars",
         "emitters",
-        "trivial_finish",
         "codegen_fns",
         "cover_twins",
     )
@@ -373,14 +357,14 @@ class RulePlan:
         #: probes are restricted by the seed, not post-filtered.
         self.bound = bound
         #: Lazily-built :class:`~repro.semantics.codegen.CodegenPlan`
-        #: (whose variants compile on first dispatch); lives and dies
-        #: with this plan object (see PlanCache.clear).
+        #: (whose variants compile on first dispatch) — the plan's
+        #: executor; lives and dies with this plan object (see
+        #: PlanCache.clear).
         self.codegen_fns = None
         #: Memoized :func:`plan_with_cover` twins, keyed by the applied
         #: per-step chain specs.  Planner contexts are per-evaluation,
-        #: so without this each run would rebuild (and, under the
-        #: codegen tier, recompile) every cover twin.  Same lifecycle
-        #: as the plan itself.
+        #: so without this each run would rebuild (and recompile)
+        #: every cover twin.  Same lifecycle as the plan itself.
         self.cover_twins = None
         positive = rule.positive_body()
         slot_of: dict[Var, int] = {}
@@ -525,14 +509,6 @@ class RulePlan:
             neg_checks.append((lit.relation, template, tuple(fills)))
         self.neg_checks = tuple(neg_checks)
 
-        self.trivial_finish = not (
-            self.assigns
-            or self.pre_checks
-            or self.unbound_slots
-            or self.neg_checks
-            or self.post_checks
-        )
-
         # -- output reconstruction and head emitters ---------------------
         self.n_slots = len(slot_of)
         self.out_vars = tuple(slot_of.items())
@@ -618,47 +594,6 @@ class RulePlan:
             return iter(())
         return self._run(db, adom, -1, None, seed)
 
-    def _candidates(
-        self,
-        step: Step,
-        db: Database,
-        slots: list,
-        restricted: "frozenset[tuple] | dict[tuple, list[tuple]] | None",
-    ) -> Iterator[tuple]:
-        """Candidate tuples for one step under the current slots."""
-        key = step.key
-        if key is None:
-            template = step.key_template
-            for i, s in step.key_fills:
-                template[i] = slots[s]
-            key = tuple(template)
-        if restricted is not None:
-            if step.key_positions:
-                # ``restricted`` was grouped by this step's key positions
-                # in _run, so the probe is a hash lookup, not a scan.
-                return iter(restricted.get(key, ()))
-            return iter(restricted)
-        rel = db.relation(step.relation)
-        if rel is None:
-            return iter(())
-        if step.exact:
-            return iter((key,)) if key in rel else iter(())
-        if step.key_positions:
-            if step.chain_order is not None:
-                chain_key = step.chain_key
-                if chain_key is None:
-                    chain_key = tuple(key[i] for i in step.chain_perm)
-                # probe_chain snapshots (returns a fresh list), matching
-                # the flat path's bucket copy below.
-                return iter(
-                    rel.probe_chain(step.chain_order, step.chain_depth, chain_key)
-                )
-            bucket = rel.index(step.key_positions).get(key)
-            # Snapshot: consumers may add facts between yields, and a
-            # live bucket must not be mutated mid-iteration.
-            return iter(list(bucket)) if bucket else iter(())
-        return iter(list(rel))
-
     def run_rows(
         self,
         db: Database,
@@ -674,7 +609,7 @@ class RulePlan:
         as one materialized list from a ``walk_batch_*`` kernel.  Plans
         or variants without a batch shape fall back to ``_run``.
         """
-        if PlanCache.columnar and PlanCache.codegen:
+        if PlanCache.columnar:
             fns = self.codegen_fns
             if fns is None:
                 fns = self.codegen_fns = CodegenPlan(self)
@@ -691,101 +626,16 @@ class RulePlan:
         restricted: frozenset[tuple] | None,
         seed: tuple[Hashable, ...] | None = None,
     ) -> Iterator[list]:
-        """The backtracking walk — codegen'd when the tier is on.
+        """The generated backtracking walk, as a generator of slot lists.
 
-        Every consumer funnels through here (``iter_slot_matches``,
-        ``iter_restricted``, the planner's ``_emit`` path), so this one
-        per-call check is the whole codegen dispatch for the generator
-        flavor.
+        Every generator consumer funnels through here
+        (``iter_slot_matches``, ``iter_restricted``, ``iter_seeded``,
+        the fallback of ``run_rows``).
         """
-        if PlanCache.codegen:
-            fns = self.codegen_fns
-            if fns is None:
-                fns = self.codegen_fns = CodegenPlan(self)
-            return fns.run(db, adom, restricted_index, restricted, seed)
-        return self._run_interpreted(
-            db, adom, restricted_index, restricted, seed
-        )
-
-    def _run_interpreted(
-        self,
-        db: Database,
-        adom: tuple[Hashable, ...],
-        restricted_index: int,
-        restricted: frozenset[tuple] | None,
-        seed: tuple[Hashable, ...] | None = None,
-    ) -> Iterator[list]:
-        """The iterative backtracking walk over the compiled steps."""
-        slots = [None] * self.n_slots
-        if seed is not None:
-            slots[: len(seed)] = seed
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
-            yield from self._finish(db, adom, slots)
-            return
-        if restricted is not None:
-            positions = steps[restricted_index].key_positions
-            if positions:
-                # Group the delta once by the restricted step's key, so
-                # each probe is O(1) instead of an O(|delta|) filter.
-                # Per-key order is the delta set's own iteration order —
-                # exactly what filtering it would have produced.
-                grouped: dict[tuple, list[tuple]] = {}
-                for t in restricted:
-                    grouped.setdefault(
-                        tuple(t[p] for p in positions), []
-                    ).append(t)
-                restricted = grouped
-        last = n - 1
-        trivial = self.trivial_finish
-        iters: list = [None] * n
-        iters[0] = self._candidates(
-            steps[0], db, slots, restricted if restricted_index == 0 else None
-        )
-        depth = 0
-        while True:
-            step = steps[depth]
-            it = iters[depth]
-            if depth == last:
-                binds = step.binds
-                withins = step.withins
-                for candidate in it:
-                    for p2, p1 in withins:
-                        if candidate[p2] != candidate[p1]:
-                            break
-                    else:
-                        for position, s in binds:
-                            slots[s] = candidate[position]
-                        if trivial:
-                            yield slots
-                        else:
-                            yield from self._finish(db, adom, slots)
-                depth -= 1
-                if depth < 0:
-                    return
-                continue
-            advanced = False
-            for candidate in it:
-                for p2, p1 in step.withins:
-                    if candidate[p2] != candidate[p1]:
-                        break
-                else:
-                    for position, s in step.binds:
-                        slots[s] = candidate[position]
-                    depth += 1
-                    iters[depth] = self._candidates(
-                        steps[depth],
-                        db,
-                        slots,
-                        restricted if restricted_index == depth else None,
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                depth -= 1
-                if depth < 0:
-                    return
+        fns = self.codegen_fns
+        if fns is None:
+            fns = self.codegen_fns = CodegenPlan(self)
+        return fns.run(db, adom, restricted_index, restricted, seed)
 
     def run_emit(
         self,
@@ -793,154 +643,29 @@ class RulePlan:
         adom: tuple[Hashable, ...],
         restricted_index: int,
         restricted: frozenset[tuple] | None,
-        relation: str,
-        template: list,
-        fills: list[tuple[int, int]],
         out: set,
     ) -> int:
-        """``_run`` fused with single-positive-head emission.
+        """One run fused with single-positive-head emission.
 
         The planner's hottest call: rules with one positive head (the
-        overwhelmingly common shape) spend most of their time resuming
-        the ``_run`` generator once per matched row and re-dispatching
-        in the consumer; this walks the steps and adds
-        ``(relation, tuple(template))`` to ``out`` in the same frame.
-        Must mirror ``_run``'s traversal exactly — the planner
-        differential suite (planner on/off × compiled/interpreted) pins
-        the equivalence.  Returns the number of matches (firings).
-
-        Under the codegen tier the call dispatches to the fused
-        specialized variant, which bakes the head spec in — the guard
-        confirms the caller passed this plan's own emitter before
-        trusting the baked one.  Under the columnar tier on top, the
-        dispatch prefers the ``emit_batch_*`` kernels (whole-delta list
-        comprehensions); variants without a batch shape fall back to
-        the scalar fused walk inside ``run_emit_batch``.
+        overwhelmingly common shape) would otherwise resume the
+        ``_run`` generator once per matched row; the fused generated
+        variants bake the head template in and add each
+        ``(relation, fact)`` to ``out`` in the walk's own frame.  Only
+        for plans with one positive head and no ``bound`` variables.
+        Under the columnar tier the dispatch prefers the
+        ``emit_batch_*`` kernels; variants without a batch shape fall
+        back to the scalar fused walk inside ``run_emit_batch``.
+        Returns the number of matches (firings).
         """
-        if PlanCache.codegen:
-            fns = self.codegen_fns
-            if fns is None:
-                fns = self.codegen_fns = CodegenPlan(self)
-            if (fns._emits is not None and relation == fns.head_relation
-                    and fills == fns.head_fills):
-                if PlanCache.columnar:
-                    return fns.run_emit_batch(
-                        db, adom, restricted_index, restricted, out
-                    )
-                return fns.run_emit(db, adom, restricted_index, restricted, out)
-        fired = 0
-        add = out.add
-        slots = [None] * self.n_slots
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
-            for finished in self._finish(db, adom, slots):
-                fired += 1
-                for position, s in fills:
-                    template[position] = finished[s]
-                add((relation, tuple(template)))
-            return fired
-        if restricted is not None:
-            positions = steps[restricted_index].key_positions
-            if positions:
-                grouped: dict[tuple, list[tuple]] = {}
-                for t in restricted:
-                    grouped.setdefault(
-                        tuple(t[p] for p in positions), []
-                    ).append(t)
-                restricted = grouped
-        last = n - 1
-        trivial = self.trivial_finish
-        iters: list = [None] * n
-        iters[0] = self._candidates(
-            steps[0], db, slots, restricted if restricted_index == 0 else None
-        )
-        depth = 0
-        while True:
-            step = steps[depth]
-            it = iters[depth]
-            if depth == last:
-                binds = step.binds
-                withins = step.withins
-                for candidate in it:
-                    for p2, p1 in withins:
-                        if candidate[p2] != candidate[p1]:
-                            break
-                    else:
-                        for position, s in binds:
-                            slots[s] = candidate[position]
-                        if trivial:
-                            fired += 1
-                            for position, s in fills:
-                                template[position] = slots[s]
-                            add((relation, tuple(template)))
-                        else:
-                            for finished in self._finish(db, adom, slots):
-                                fired += 1
-                                for position, s in fills:
-                                    template[position] = finished[s]
-                                add((relation, tuple(template)))
-                depth -= 1
-                if depth < 0:
-                    return fired
-                continue
-            advanced = False
-            for candidate in it:
-                for p2, p1 in step.withins:
-                    if candidate[p2] != candidate[p1]:
-                        break
-                else:
-                    for position, s in step.binds:
-                        slots[s] = candidate[position]
-                    depth += 1
-                    iters[depth] = self._candidates(
-                        steps[depth],
-                        db,
-                        slots,
-                        restricted if restricted_index == depth else None,
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                depth -= 1
-                if depth < 0:
-                    return fired
-
-    def _finish(
-        self, db: Database, adom: tuple[Hashable, ...], slots: list
-    ) -> Iterator[list]:
-        """Equality assigns/checks, adom enumeration, residual checks."""
-        for dst, src, value in self.assigns:
-            slots[dst] = value if src is None else slots[src]
-        for ls, lc, rs, rc, positive in self.pre_checks:
-            left = slots[ls] if ls is not None else lc
-            right = slots[rs] if rs is not None else rc
-            if (left == right) != positive:
-                return
-        unbound = self.unbound_slots
-        if not unbound:
-            if self._residual_ok(db, slots):
-                yield slots
-            return
-        for values in itertools.product(adom, repeat=len(unbound)):
-            for s, value in zip(unbound, values):
-                slots[s] = value
-            if self._residual_ok(db, slots):
-                yield slots
-
-    def _residual_ok(self, db: Database, slots: list) -> bool:
-        """Negative-literal and per-enumeration equality checks."""
-        for relation, template, fills in self.neg_checks:
-            for position, s in fills:
-                template[position] = slots[s]
-            if db.has_fact(relation, tuple(template)):
-                return False
-        for ls, lc, rs, rc, positive in self.post_checks:
-            left = slots[ls] if ls is not None else lc
-            right = slots[rs] if rs is not None else rc
-            if (left == right) != positive:
-                return False
-        return True
+        fns = self.codegen_fns
+        if fns is None:
+            fns = self.codegen_fns = CodegenPlan(self)
+        if PlanCache.columnar:
+            return fns.run_emit_batch(
+                db, adom, restricted_index, restricted, out
+            )
+        return fns.run_emit(db, adom, restricted_index, restricted, out)
 
 
 def plan_for(
@@ -1022,9 +747,8 @@ def plan_with_cover(
         clone = Step.__new__(Step)
         clone.relation = step.relation
         clone.key_positions = step.key_positions
-        clone.key_template = list(step.key_template)
+        clone.key_template = step.key_template
         clone.key_fills = step.key_fills
-        clone.key = step.key
         clone.binds = step.binds
         clone.withins = step.withins
         clone.exact = step.exact
@@ -1035,17 +759,12 @@ def plan_with_cover(
         clone.chain_perm = tuple(
             step.key_positions.index(order[d]) for d in range(depth)
         )
-        clone.chain_key = (
-            tuple(step.key[i] for i in clone.chain_perm)
-            if step.key is not None
-            else None
-        )
         steps.append(clone)
     twin = RulePlan.__new__(RulePlan)
     for name in RulePlan.__slots__:
         setattr(twin, name, getattr(plan, name))
     twin.steps = tuple(steps)
-    # The slot copy above carried the base plan's codegen'd functions,
+    # The slot copy above carried the base plan's generated functions,
     # which probe flat indexes — stale for a chain-probing twin.  Reset
     # so the twin compiles its own (the cache-coherence contract).
     twin.codegen_fns = None

@@ -1,6 +1,6 @@
 """The cost-based query planner (join ordering, index cover, scheduling).
 
-PR 4's compiled kernel made each (rule, join order) fast; this module
+Compiled plans make each (rule, join order) fast; this module
 decides *which* order runs, *which* physical indexes exist, and *which
 rules a stage visits at all*.  Three coordinated pieces:
 
@@ -814,11 +814,7 @@ def _fire(
         return 0
     emitters = plan.emitters
     if emitters is not None and len(emitters) == 1 and emitters[0][3]:
-        relation, template, fills, _ = emitters[0]
-        return plan.run_emit(
-            db, adom, restricted_pos, restricted,
-            relation, template, fills, positive,
-        )
+        return plan.run_emit(db, adom, restricted_pos, restricted, positive)
     return _emit(
         plan,
         plan.run_rows(db, adom, restricted_pos, restricted),

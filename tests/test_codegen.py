@@ -1,10 +1,11 @@
 """The codegen matcher tier: emitted source, dispatch, cache coherence.
 
-The contract under test: :mod:`repro.semantics.codegen` is an
-*optimization tier* — byte-identical match enumeration, identical
-answers, firings, and stages versus the compiled kernel and the
-reference interpreted matcher, under every engine.  The evidence here
-is layered: shape checks on the emitted source, a 50-program
+The contract under test: :mod:`repro.semantics.codegen` is the
+production executor of compiled plans — byte-identical match
+enumeration, identical answers, firings, and stages versus the
+reference interpreted matcher, under every engine and in both the
+scalar (``codegen``) and batch (``columnar``) tiers.  The evidence
+here is layered: shape checks on the emitted source, a 50-program
 three-way differential across four semantics, seeded byte-identical
 replays of the choice and nondeterministic engines, and the cache
 coherence rules (toggle flips bypass immediately, ``PlanCache.clear``
@@ -20,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.parser import parse_program
 from repro.relational.instance import Database
+from repro.semantics.base import iter_matches
 from repro.semantics.choice import evaluate_with_choice
 from repro.semantics.codegen import compile_plan, dump_codegen
 from repro.semantics.differential import DifferentialEngine
@@ -38,15 +40,14 @@ from repro.semantics.wellfounded import evaluate_wellfounded
 from repro.workloads.graphs import chain, graph_database
 from tests.test_differential_engines import random_program_and_database
 
-TIERS = ("columnar", "codegen", "compiled", "interpreted")
+TIERS = ("columnar", "codegen", "interpreted")
 
 
 @contextlib.contextmanager
 def _tier(tier: str):
     """Run the body under one matcher tier, restoring the defaults."""
     # the defaults: the full stack is on
-    assert (PlanCache.compiled_plans and PlanCache.codegen
-            and PlanCache.columnar)
+    assert PlanCache.compiled_plans and PlanCache.columnar
     with matcher_override(tier):
         yield
 
@@ -98,12 +99,16 @@ class TestEmittedSource:
         cg = compile_plan(plan)
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
-        rows = {tuple(slots) for slots in cg.run(db, (), -1, None)}
-        interpreted = {
-            tuple(slots)
-            for slots in plan._run_interpreted(db, (), -1, None)
+        rows = {
+            frozenset((v, slots[s]) for v, s in plan.out_vars)
+            for slots in cg.run(db, (), -1, None)
         }
-        assert rows == interpreted
+        with matcher_override("interpreted"):
+            oracle = {
+                frozenset(valuation.items())
+                for valuation in iter_matches(plan.rule, db, ())
+            }
+        assert rows and rows == oracle
 
     def test_dump_codegen_writes_sources(self, tmp_path):
         program = parse_program(TC_NONLINEAR)
@@ -120,7 +125,7 @@ class TestTierDispatch:
     """Tier precedence, stats surface, and the traced-run downgrade."""
 
     def test_columnar_is_the_default(self):
-        assert PlanCache.codegen and PlanCache.columnar
+        assert PlanCache.compiled_plans and PlanCache.columnar
         assert active_matcher() == "columnar"
         with matcher_override("codegen"):
             assert active_matcher() == "codegen"
@@ -146,11 +151,11 @@ class TestTierDispatch:
 
     def test_traced_run_drops_to_interpreted(self):
         # Join-probe counts must stay exact, so a traced run bypasses
-        # both compiled tiers even while codegen is on.
+        # the generated tiers even while they are on.
         from repro.obs import CollectorSink, Tracer
 
         program = parse_program(TC_NONLINEAR)
-        assert PlanCache.codegen
+        assert PlanCache.compiled_plans
         result = evaluate_datalog_seminaive(
             program, _tc_db(), tracer=Tracer([CollectorSink()])
         )
@@ -158,7 +163,7 @@ class TestTierDispatch:
 
 
 class TestCacheCoherence:
-    """Stale codegen'd functions must never run."""
+    """Stale generated functions must never run."""
 
     def test_toggle_flips_bypass_immediately(self):
         # Warm the codegen cache, then flip tiers *without* clearing
@@ -170,18 +175,14 @@ class TestCacheCoherence:
             warm = evaluate_datalog_seminaive(program, db)
         with _tier("codegen"):
             codegen = evaluate_datalog_seminaive(program, db)
-        with _tier("compiled"):
-            compiled = evaluate_datalog_seminaive(program, db)
         with _tier("interpreted"):
             interpreted = evaluate_datalog_seminaive(program, db)
         with _tier("columnar"):
             again = evaluate_datalog_seminaive(program, db)
         assert warm.answer("T") == codegen.answer("T")
-        assert warm.answer("T") == compiled.answer("T")
         assert warm.answer("T") == interpreted.answer("T")
         assert warm.answer("T") == again.answer("T")
         assert codegen.stats.matcher == "codegen"
-        assert compiled.stats.matcher == "compiled"
         assert interpreted.stats.matcher == "interpreted"
         assert again.stats.matcher == "columnar"
 
@@ -192,7 +193,7 @@ class TestCacheCoherence:
         base = graph_database(chain(6))
         with _tier("columnar"):
             engine = DifferentialEngine(program, base)
-        with _tier("compiled"):
+        with _tier("interpreted"):
             engine.apply([("+", "G", ("n5", "x0")), ("+", "G", ("x0", "x1"))])
         with _tier("codegen"):
             engine.apply([("-", "G", ("n2", "n3"))])
@@ -370,8 +371,17 @@ class TestCliMatcherFlag:
         assert code == 0
         assert json.loads(output)["matcher"] == tier
         # The override is scoped to the one evaluation.
-        assert (PlanCache.compiled_plans and PlanCache.codegen
-                and PlanCache.columnar)
+        assert PlanCache.compiled_plans and PlanCache.columnar
+
+    def test_compiled_tier_is_rejected(self, tc_files, capsys):
+        # "compiled" named the plan-interpreter rung, which is gone:
+        # argparse refuses it (exit 2) before anything evaluates.
+        program, data = tc_files
+        with pytest.raises(SystemExit) as excinfo:
+            self._run(["run", program, "--data", data,
+                       "--matcher", "compiled"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
     def test_run_matcher_override_same_answers(self, tc_files):
         program, data = tc_files

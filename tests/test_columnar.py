@@ -1,9 +1,9 @@
-"""Columnar storage and batch execution: the pieces under the tier.
+"""Columnar batch execution: the pieces under the tier.
 
 :mod:`tests.test_codegen` pins the columnar *tier* end-to-end (answer
 parity, seeded replays, dispatch precedence).  This module tests the
-parts it is built from: the interner/column-store/delta-block storage
-trio, the bulk relation mutators the batch drivers use
+parts it is built from: the delta block, the bulk relation mutators
+the batch drivers use
 (``add_batch``/``live_set``), the snapshot-vs-live contract of the two
 chain-probe flavors, chain-count maintenance under heavy ``discard``
 (the noninflationary engines' skewed-bucket pattern), the shape of the
@@ -16,11 +16,11 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.parser import parse_program
-from repro.relational.columnar import ColumnStore, DeltaBlock, Interner
-from repro.relational.instance import Database, Relation
+from repro.relational.instance import Relation
 from repro.semantics.codegen import CodegenPlan, compile_plan
 from repro.semantics.differential import DifferentialEngine
 from repro.semantics.plan import (
+    DeltaBlock,
     PlanCache,
     kernel_difference,
     matcher_override,
@@ -30,66 +30,6 @@ from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.workloads.graphs import chain, graph_database
 
 TC_NONLINEAR = "T(x, y) :- G(x, y).\nT(x, y) :- T(x, z), T(z, y).\n"
-
-
-class TestInterner:
-
-    def test_dense_ids_in_first_intern_order(self):
-        interner = Interner()
-        assert interner.intern("a") == 0
-        assert interner.intern("b") == 1
-        assert interner.intern("a") == 0  # stable on re-intern
-        assert len(interner) == 2
-
-    def test_bijection(self):
-        interner = Interner()
-        values = ["x", 7, ("nested",), "x"]
-        ids = [interner.intern(v) for v in values]
-        assert [interner.value(i) for i in ids] == values
-        assert interner.lookup("never") is None
-        assert interner.nbytes() > 0
-
-
-class TestColumnStore:
-
-    def _store(self, tuples=()):
-        return ColumnStore(2, Interner(), tuples)
-
-    def test_append_and_membership(self):
-        store = self._store()
-        assert store.append((1, 2))
-        assert not store.append((1, 2))  # duplicate
-        assert (1, 2) in store and (2, 1) not in store
-        assert len(store) == 1
-        assert store.row(0) == (1, 2)
-
-    def test_swap_remove_keeps_rows_decodable(self):
-        rows = [(i, i + 1) for i in range(6)]
-        store = self._store(rows)
-        # Remove from the middle: the last row swaps into the hole.
-        assert store.discard((2, 3))
-        assert not store.discard((2, 3))
-        assert len(store) == 5
-        assert set(store) == set(rows) - {(2, 3)}
-        # Every surviving row decodes to itself at its current index.
-        for t, row in store._row_of.items():
-            assert store.row(row) == t
-
-    def test_discard_last_row(self):
-        store = self._store([(1, 2), (3, 4)])
-        assert store.discard((3, 4))
-        assert set(store) == {(1, 2)}
-
-    def test_clear(self):
-        store = self._store([(1, 2)])
-        store.clear()
-        assert len(store) == 0 and store.nbytes() == 0
-        assert store.append((5, 6))
-
-    def test_nbytes_is_column_payload(self):
-        store = self._store([(1, 2), (3, 4), (5, 6)])
-        # 3 rows x 2 columns x 8-byte ids.
-        assert store.nbytes() == 3 * 2 * 8
 
 
 class TestDeltaBlock:
@@ -104,15 +44,9 @@ class TestDeltaBlock:
         assert len(block) == 20 and block
         assert (0, 1) in block and (1, 0) not in block
 
-    def test_columns_are_parallel_slices(self):
-        block = DeltaBlock(frozenset({(1, 2), (3, 4)}))
-        for c0, c1 in zip(*block.columns):
-            assert (c0, c1) in block.facts
-
     def test_empty_block(self):
         block = DeltaBlock(frozenset())
         assert not block and len(block) == 0
-        assert block.columns is None
         assert list(block) == []
 
 
@@ -131,15 +65,13 @@ class TestAddBatch:
         with pytest.raises(SchemaError):
             rel.add_batch([(1, 2), (3,)])
 
-    def test_maintains_live_indexes_and_store(self):
+    def test_maintains_live_indexes(self):
         rel = Relation("R", 2, [(1, 2)])
         index = rel.index((0,))
         trie = rel.chain_index((0, 1))
-        store = rel.column_store(Interner())
         rel.add_batch([(1, 9), (7, 8)])
         assert set(index[(1,)]) == {(1, 2), (1, 9)}
         assert set(trie[7][8]) == {(7, 8)}
-        assert (7, 8) in store and len(store) == 3
         # The maintained shapes match a from-scratch rebuild.
         rebuilt = Relation("R", 2, rel.tuples())
         assert rebuilt.index((0,)) == rel.index((0,))
@@ -275,23 +207,21 @@ class TestBatchKernelShape:
 class TestFlagHygiene:
 
     def test_matcher_override_restores_on_exception(self):
-        saved = (PlanCache.compiled_plans, PlanCache.codegen,
-                 PlanCache.columnar)
+        saved = (PlanCache.compiled_plans, PlanCache.columnar)
         with pytest.raises(RuntimeError):
             with matcher_override("interpreted"):
-                assert not PlanCache.codegen
+                assert not PlanCache.compiled_plans
                 raise RuntimeError("mid-run failure")
-        assert (PlanCache.compiled_plans, PlanCache.codegen,
-                PlanCache.columnar) == saved
+        assert (PlanCache.compiled_plans, PlanCache.columnar) == saved
 
     def test_matcher_override_rejects_unknown_tier(self):
-        saved = (PlanCache.compiled_plans, PlanCache.codegen,
-                 PlanCache.columnar)
-        with pytest.raises(KeyError):
-            with matcher_override("vectorized-gpu"):
-                pass  # pragma: no cover
-        assert (PlanCache.compiled_plans, PlanCache.codegen,
-                PlanCache.columnar) == saved
+        saved = (PlanCache.compiled_plans, PlanCache.columnar)
+        # "compiled" named the plan-interpreter rung, which is gone.
+        for tier in ("vectorized-gpu", "compiled"):
+            with pytest.raises(KeyError):
+                with matcher_override(tier):
+                    pass  # pragma: no cover
+            assert (PlanCache.compiled_plans, PlanCache.columnar) == saved
 
     def test_kernel_difference_restores_on_exception(self):
         assert CodegenPlan.subtract_known is False
@@ -323,32 +253,6 @@ class TestKernelDifferenceParity:
         assert with_diff.database.tuples("T") == without.database.tuples("T")
         assert with_diff.stats.stage_count == without.stats.stage_count
         assert with_diff.rule_firings == without.rule_firings
-
-
-class TestStorageReport:
-
-    def test_report_shape_and_density(self):
-        db = graph_database(chain(30))
-        result = evaluate_datalog_seminaive(parse_program(TC_NONLINEAR), db)
-        report = result.database.storage_report()
-        assert set(report) == {"relations", "interner"}
-        assert report["interner"]["constants"] > 0
-        t = report["relations"]["T"]
-        assert t["rows"] == len(result.database.tuples("T"))
-        assert t["column_bytes"] == t["rows"] * 2 * 8
-        # The density claim the tier is named for: interned columns are
-        # smaller than the tuple shells they replace.
-        assert t["column_bytes"] < t["set_bytes"]
-
-    def test_store_is_maintained_after_first_report(self):
-        db = Database()
-        rel = db.ensure_relation("R", 2)
-        rel.add((1, 2))
-        first = db.storage_report()["relations"]["R"]
-        rel.add((3, 4))
-        second = db.storage_report()["relations"]["R"]
-        assert first["rows"] == 1 and second["rows"] == 2
-        assert second["column_bytes"] == 2 * 2 * 8
 
 
 class TestDifferentialThroughTiers:

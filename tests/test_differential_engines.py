@@ -97,7 +97,7 @@ def test_compiled_and_interpreted_matchers_agree(seed):
     program, each engine must produce byte-identical results — database,
     per-stage additions, stage counts, rule firings — whether the
     matcher is compiled or interpreted."""
-    from repro.semantics.plan import PlanCache
+    from repro.semantics.plan import PlanCache, matcher_override
 
     rng = random.Random(seed)
     source, db = random_program_and_database(rng)
@@ -110,12 +110,9 @@ def test_compiled_and_interpreted_matchers_agree(seed):
 
     assert PlanCache.compiled_plans  # the default
     for name, engine in engines.items():
-        try:
-            compiled = engine(program, db)
-            PlanCache.compiled_plans = False
+        compiled = engine(program, db)
+        with matcher_override("interpreted"):
             interpreted = engine(program, db)
-        finally:
-            PlanCache.compiled_plans = True
         context = f"{name}: {source}"
         assert (
             compiled.database.canonical() == interpreted.database.canonical()

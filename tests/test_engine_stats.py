@@ -262,35 +262,26 @@ class TestRecorderInvariants:
         assert rebuilding.index_updates == 0
 
     def test_matcher_field_follows_compiled_plans_toggle(self):
-        from repro.semantics.plan import PlanCache
+        from repro.semantics.plan import PlanCache, matcher_override
 
         program = parse_program(TC)
         db = Database(GRAPH)
         # Defaults: the full stack, columnar on top.
-        assert (PlanCache.compiled_plans and PlanCache.codegen
-                and PlanCache.columnar)
-        try:
-            columnar = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.columnar = False
+        assert PlanCache.compiled_plans and PlanCache.columnar
+        columnar = evaluate_datalog_seminaive(program, db).stats
+        with matcher_override("codegen"):
             codegen = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.codegen = False
-            compiled = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.compiled_plans = False
+        with matcher_override("interpreted"):
+            assert not PlanCache.compiled_plans
             interpreted = evaluate_datalog_seminaive(program, db).stats
-        finally:
-            PlanCache.compiled_plans = True
-            PlanCache.codegen = True
-            PlanCache.columnar = True
         assert columnar.matcher == "columnar"
         assert codegen.matcher == "codegen"
-        assert compiled.matcher == "compiled"
         assert interpreted.matcher == "interpreted"
         # The matcher choice never changes what gets computed.
         assert columnar.rule_firings == interpreted.rule_firings
         assert codegen.rule_firings == interpreted.rule_firings
-        assert compiled.rule_firings == interpreted.rule_firings
+        assert columnar.stage_count == interpreted.stage_count
         assert codegen.stage_count == interpreted.stage_count
-        assert compiled.stage_count == interpreted.stage_count
 
     def test_traced_runs_report_the_interpreted_matcher(self):
         from repro.obs import CollectorSink, Tracer

@@ -1,4 +1,4 @@
-"""The compiled slot-plan kernel (semantics/plan) vs the interpreted twin.
+"""Compiled rule plans (semantics/plan) vs the interpreted oracle.
 
 Every test here is a parity or representation check on the compiled
 matcher: same matches, in the same order, as the interpreted path —
@@ -19,7 +19,7 @@ from repro.semantics.base import (
     immediate_consequences,
     iter_matches,
 )
-from repro.semantics.plan import PlanCache, RulePlan, plan_for
+from repro.semantics.plan import PlanCache, RulePlan, matcher_override, plan_for
 from repro.terms import Var
 
 
@@ -36,12 +36,9 @@ def both_matchers(rule_text, db, delta=None, program_text=None):
         return [dict(v) for v in iter_matches(rule, db, adom, delta=frozen)]
 
     assert PlanCache.compiled_plans  # the default
-    try:
-        compiled = run()
-        PlanCache.compiled_plans = False
+    compiled = run()
+    with matcher_override("interpreted"):
         interpreted = run()
-    finally:
-        PlanCache.compiled_plans = True
     return compiled, interpreted
 
 
@@ -223,11 +220,9 @@ class TestPlanRepresentation:
 
         program = parse_program("T(x, y) :- G(x, y). T(x, y) :- G(x, z), T(z, y).")
         db = Database({"G": [("a", "b"), ("b", "c")]})
-        try:
-            PlanCache.compiled_plans = False
+        with matcher_override("interpreted"):
+            assert not PlanCache.compiled_plans
             result = evaluate_datalog_seminaive(program, db)
-        finally:
-            PlanCache.compiled_plans = True
         assert result.stats.matcher == "interpreted"
         assert len(result.answer("T")) == 3
 
