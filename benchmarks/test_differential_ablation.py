@@ -11,6 +11,9 @@ re-running semi-naive evaluation on the updated base.
   headline: attaching a fresh node to the chain head touches O(n) of
   the Θ(n²) closure, so the differential cell's advantage grows with
   the chain;
+* the same edge deleted again — the DRed delete path: over-deletion
+  of the fresh node's closure row, then one head-bound support check
+  per over-deleted fact;
 * chain of gated TC components — multi-SCC: the update lands in the
   first component, and the per-SCC sweep skips every component whose
   inputs did not change, while from-scratch recomputes all K closures.
@@ -89,18 +92,26 @@ def _scratch_facts(result, program):
 
 
 def _run_cell(differential_artifact, benchmark_name, size, program, base,
-              edge_relation, edge):
-    """Measure both modes of one single-edge-insert update cell."""
-    engine = DifferentialEngine(program, base)
+              edge_relation, edge, delete=False):
+    """Measure both modes of one single-edge update cell.
 
-    diff_seconds = _best_latency(
-        lambda: engine.insert([(edge_relation, edge)]),
-        lambda: engine.delete([(edge_relation, edge)]),
-    )
+    The update inserts ``edge`` into ``base``; with ``delete`` the base
+    already holds it and the update deletes it instead.
+    """
+    engine = DifferentialEngine(program, base)
+    fact = [(edge_relation, edge)]
+    update, undo = engine.insert, engine.delete
+    if delete:
+        update, undo = undo, update
+
+    diff_seconds = _best_latency(lambda: update(fact), lambda: undo(fact))
     touched = engine.stats.differential["last_facts_touched"]
 
     updated = base.copy()
-    updated.add_fact(edge_relation, edge)
+    if delete:
+        updated.remove_fact(edge_relation, edge)
+    else:
+        updated.add_fact(edge_relation, edge)
 
     def scratch():
         return evaluate_datalog_seminaive(program, updated)
@@ -140,6 +151,23 @@ def test_differential_tc_nonlinear(differential_artifact, n):
         graph_database(chain(n)),
         "G",
         ("x", "n0"),
+    )
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_differential_tc_nonlinear_delete(differential_artifact, n):
+    # The same edge cut again: DRed over-deletes the fresh node's O(n)
+    # closure row, and each over-deleted fact's head-bound support
+    # check finds no other derivation.
+    _run_cell(
+        differential_artifact,
+        "tc_nonlinear_chain_delete",
+        n,
+        tc_nonlinear_program(),
+        graph_database(chain(n) + [("x", "n0")]),
+        "G",
+        ("x", "n0"),
+        delete=True,
     )
 
 

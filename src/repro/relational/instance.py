@@ -18,10 +18,14 @@ engines that discard heavily from skewed buckets.  Indexes are maintained
 *incrementally*: once built, an index is updated in place on every
 ``add``/``discard`` instead of being discarded and rebuilt — the
 difference between O(facts) and O(stages × facts) total index work over
-a fixpoint computation.  ``Relation.version`` is a monotone counter
-bumped on every mutation; snapshot consumers key caches on it.  The
-counters :attr:`Relation.index_builds` / :attr:`Relation.index_updates`
-feed the engines' :class:`~repro.semantics.base.EngineStats`.
+a fixpoint computation.  The bulk mutators ``add_batch``/
+``discard_batch`` run the same maintenance, one pass per live index
+over the whole batch; :meth:`Relation.check_invariants` compares every
+live index with a from-scratch rebuild.  ``Relation.version`` is a
+monotone counter bumped on every mutation; snapshot consumers key
+caches on it.  The counters :attr:`Relation.index_builds` /
+:attr:`Relation.index_updates` feed the engines'
+:class:`~repro.semantics.base.EngineStats`.
 
 Two physical index shapes coexist:
 
@@ -43,12 +47,63 @@ cover no longer needs, counted by :attr:`Relation.index_drops`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 Fact = tuple[str, tuple[Hashable, ...]]
+
+
+def _no_key(t: tuple) -> tuple:
+    """The flat-index key on no positions."""
+    return ()
+
+
+def _fill_flat(table: dict, positions: tuple[int, ...], ts) -> None:
+    """File each of ``ts`` under its key in one flat index."""
+    single = len(positions) == 1
+    p = positions[0] if single else 0
+    get = None if single else itemgetter(*positions) if positions else _no_key
+    for t in ts:
+        key = (t[p],) if single else get(t)
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = {t: None}
+        else:
+            bucket[t] = None
+
+
+def _unfile_flat(table: dict, positions: tuple[int, ...], ts) -> None:
+    """Remove each of ``ts`` from one flat index, pruning empty buckets."""
+    single = len(positions) == 1
+    p = positions[0] if single else 0
+    get = None if single else itemgetter(*positions) if positions else _no_key
+    for t in ts:
+        key = (t[p],) if single else get(t)
+        bucket = table.get(key)
+        if bucket is not None:
+            del bucket[t]
+            if not bucket:
+                del table[key]
+
+
+def _fill_chain(root: dict, counts: list[int], order: tuple[int, ...],
+                ts) -> None:
+    """Thread each of ``ts`` into one chain trie, counting new prefixes."""
+    for t in ts:
+        node = root
+        depth = 0
+        for p in order:
+            v = t[p]
+            child = node.get(v)
+            if child is None:
+                child = node[v] = {}
+                counts[depth] += 1
+            node = child
+            depth += 1
+        node[t] = None
 
 
 class Relation:
@@ -96,80 +151,75 @@ class Relation:
         if not isinstance(t, tuple):
             t = tuple(t)
         if len(t) != self.arity:
-            raise SchemaError(
-                f"tuple {t!r} has arity {len(t)}, but relation "
-                f"{self.name!r} has arity {self.arity}"
-            )
+            raise self._arity_error(t)
         return t
 
     # -- incremental index maintenance --------------------------------------
+    #
+    # One copy of the maintenance code per direction.  Both helpers take
+    # a sequence of distinct tuples and walk it once per live index (the
+    # index loop outside, the tuple loop inside), so a batch pays the
+    # per-index setup once; the single-tuple mutators pass a 1-tuple.
 
-    def _index_insert(self, t: tuple) -> None:
-        """Append ``t`` under its key in every live index."""
+    def _index_insert(
+        self, fresh: "list[tuple] | tuple[tuple, ...]"
+    ) -> None:
+        """Thread new tuples into every live flat index and chain trie."""
+        n = len(fresh)
         for positions, table in self._indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = {t: None}
-            else:
-                bucket[t] = None
-            self._index_updates += 1
+            _fill_flat(table, positions, fresh)
+            self._index_updates += n
+        for order, root in self._chains.items():
+            _fill_chain(root, self._chain_counts[order], order, fresh)
+            self._index_updates += n
 
-    def _index_remove(self, t: tuple) -> None:
-        """Remove ``t`` from its key's bucket in every live index.
+    def _index_remove(
+        self, gone: "list[tuple] | tuple[tuple, ...]"
+    ) -> None:
+        """Remove tuples from every live flat index and chain trie.
 
-        O(1) per bucket: the bucket is an insertion-ordered dict, so
+        O(1) per bucket: buckets are insertion-ordered dicts, so
         deletion is a hash delete — no O(bucket) ``list.remove`` scan.
+        Emptied buckets and trie nodes are pruned, and each chain's
+        per-depth distinct-prefix counts follow.
         """
+        n = len(gone)
         for positions, table in self._indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = table.get(key)
-            if bucket is not None:
-                del bucket[t]
-                if not bucket:
-                    del table[key]
-            self._index_updates += 1
-
-    def _chain_insert(self, t: tuple) -> None:
-        """Thread ``t`` into every live chain index (one update each)."""
+            _unfile_flat(table, positions, gone)
+            self._index_updates += n
         for order, root in self._chains.items():
             counts = self._chain_counts[order]
-            node = root
-            for depth, p in enumerate(order):
-                v = t[p]
-                child = node.get(v)
-                if child is None:
-                    child = {}
-                    node[v] = child
-                    counts[depth] += 1
-                node = child
-            node[t] = None
-            self._index_updates += 1
+            last = len(order) - 1
+            for t in gone:
+                parents: list[dict] = []
+                node = root
+                for p in order:
+                    child = node.get(t[p])
+                    if child is None:
+                        break
+                    parents.append(node)
+                    node = child
+                else:
+                    node.pop(t, None)
+                    depth = last
+                    while depth >= 0 and not node:
+                        node = parents[depth]
+                        del node[t[order[depth]]]
+                        counts[depth] -= 1
+                        depth -= 1
+            self._index_updates += n
 
-    def _chain_remove(self, t: tuple) -> None:
-        """Remove ``t`` from every live chain index, pruning empty nodes."""
-        for order, root in self._chains.items():
-            counts = self._chain_counts[order]
-            path: list[tuple[dict, Hashable]] = []
-            node = root
-            present = True
-            for p in order:
-                child = node.get(t[p])
-                if child is None:
-                    present = False
-                    break
-                path.append((node, t[p]))
-                node = child
-            if present:
-                node.pop(t, None)
-                depth = len(order) - 1
-                while depth >= 0 and not node:
-                    parent, v = path[depth]
-                    del parent[v]
-                    counts[depth] -= 1
-                    node = parent
-                    depth -= 1
-            self._index_updates += 1
+    def _drop_all_indexes(self) -> None:
+        """The non-incremental mode: every mutation frees every index."""
+        self._indexes.clear()
+        self._chains.clear()
+        self._chain_counts.clear()
+
+    def _arity_error(self, t: tuple) -> SchemaError:
+        return SchemaError(
+            f"tuple {t!r} has arity {len(t)}, but relation "
+            f"{self.name!r} has arity {self.arity}"
+        )
 
     def add(self, t: tuple) -> bool:
         """Insert a tuple; return True if it was new."""
@@ -178,26 +228,25 @@ class Relation:
             return False
         self._tuples.add(t)
         self._version += 1
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                self._index_insert(t)
-            if self._chains:
-                self._chain_insert(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
+        if not Relation.incremental_maintenance:
+            self._drop_all_indexes()
+        elif self._indexes or self._chains:
+            self._index_insert((t,))
         return True
 
     def add_batch(self, ts) -> list[tuple]:
-        """Bulk insert; returns the tuples that were actually new.
+        """Bulk insert; returns the tuples of ``ts`` that were not present.
 
         The consequence-absorption hot path: one membership filter and
-        one ``set.update`` replace the per-fact ``add`` call chain.
-        Callers pass engine-built tuples (head instantiations), so the
-        per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Index and chain maintenance
-        still runs per new tuple; returned order follows ``ts``.
+        one ``set.update`` replace the per-fact ``add`` call chain, and
+        index and chain maintenance walks the new tuples once per live
+        index.  Callers pass engine-built tuples (head instantiations),
+        so the per-tuple coercion of :meth:`_check` is skipped — only
+        the arity is verified, before anything changes, so a bad tuple
+        leaves the relation untouched.  The returned list follows the
+        order of ``ts`` (a tuple repeated in ``ts`` is listed once per
+        occurrence); indexes, counters and :attr:`version` see each new
+        tuple once, exactly as a run of :meth:`add` calls would.
         """
         tuples = self._tuples
         fresh = [t for t in ts if t not in tuples]
@@ -206,23 +255,17 @@ class Relation:
         arity = self.arity
         for t in fresh:
             if len(t) != arity:
-                raise SchemaError(
-                    f"tuple {t!r} has arity {len(t)}, but relation "
-                    f"{self.name!r} has arity {arity}"
-                )
+                raise self._arity_error(t)
+        before = len(tuples)
         tuples.update(fresh)
-        self._version += len(fresh)
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                for t in fresh:
-                    self._index_insert(t)
-            if self._chains:
-                for t in fresh:
-                    self._chain_insert(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
+        added = len(tuples) - before
+        self._version += added
+        if not Relation.incremental_maintenance:
+            self._drop_all_indexes()
+        elif self._indexes or self._chains:
+            self._index_insert(
+                fresh if added == len(fresh) else list(dict.fromkeys(fresh))
+            )
         return fresh
 
     def discard(self, t: tuple) -> bool:
@@ -232,16 +275,49 @@ class Relation:
             return False
         self._tuples.remove(t)
         self._version += 1
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                self._index_remove(t)
-            if self._chains:
-                self._chain_remove(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
+        if not Relation.incremental_maintenance:
+            self._drop_all_indexes()
+        elif self._indexes or self._chains:
+            self._index_remove((t,))
         return True
+
+    def discard_batch(self, ts) -> list[tuple]:
+        """Bulk remove; returns the tuples of ``ts`` that were present.
+
+        The mirror of :meth:`add_batch`: every arity is verified before
+        anything changes, the per-fact ``discard`` call chain collapses
+        into one loop over the set, and index and chain maintenance
+        walks the removed tuples once per live index.  The returned
+        list follows the order of ``ts`` (a tuple repeated in ``ts`` is
+        listed once per occurrence); indexes, counters and
+        :attr:`version` see each removed tuple once.
+        """
+        tuples = self._tuples
+        arity = self.arity
+        gone = []
+        for t in ts:
+            if len(t) != arity:
+                raise self._arity_error(t)
+            if t in tuples:
+                gone.append(t)
+        if not gone:
+            return gone
+        before = len(tuples)
+        # Per-tuple removal, not ``difference_update``: that one also
+        # compacts the hash table, which would reorder later full scans
+        # and index builds away from what ``discard`` calls produce.
+        remove = tuples.discard
+        for t in gone:
+            remove(t)
+        removed = before - len(tuples)
+        self._version += removed
+        if not Relation.incremental_maintenance:
+            self._drop_all_indexes()
+        elif self._indexes or self._chains:
+            self._index_remove(
+                gone if removed == len(gone) else list(dict.fromkeys(gone))
+            )
+        return gone
 
     def update(self, tuples: Iterable[tuple]) -> int:
         """Insert many tuples; return how many were new."""
@@ -266,9 +342,7 @@ class Relation:
                     for depth in range(len(counts)):
                         counts[depth] = 0
             else:
-                self._indexes.clear()
-                self._chains.clear()
-                self._chain_counts.clear()
+                self._drop_all_indexes()
 
     def replace(self, tuples: Iterable[tuple]) -> None:
         """Replace the whole content (used by while-language assignment)."""
@@ -280,21 +354,13 @@ class Relation:
             removed = self._tuples - new
             if len(added) + len(removed) <= len(new):
                 # Small diff: patch the live indexes in place.
-                for t in removed:
-                    self._index_remove(t)
-                    self._chain_remove(t)
-                for t in added:
-                    self._index_insert(t)
-                    self._chain_insert(t)
+                self._index_remove(list(removed))
+                self._index_insert(list(added))
             else:
                 # Wholesale change: cheaper to rebuild lazily.
-                self._indexes.clear()
-                self._chains.clear()
-                self._chain_counts.clear()
+                self._drop_all_indexes()
         else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
+            self._drop_all_indexes()
         self._tuples = new
         self._version += 1
 
@@ -367,9 +433,7 @@ class Relation:
         if cached is not None:
             return cached
         built: dict[tuple, dict[tuple, None]] = {}
-        for t in self._tuples:
-            key = tuple(t[p] for p in positions)
-            built.setdefault(key, {})[t] = None
+        _fill_flat(built, positions, self._tuples)
         self._indexes[positions] = built
         self._index_builds += 1
         return built
@@ -392,17 +456,7 @@ class Relation:
             return cached
         root: dict = {}
         counts = [0] * len(order)
-        for t in self._tuples:
-            node = root
-            for depth, p in enumerate(order):
-                v = t[p]
-                child = node.get(v)
-                if child is None:
-                    child = {}
-                    node[v] = child
-                    counts[depth] += 1
-                node = child
-            node[t] = None
+        _fill_chain(root, counts, order, self._tuples)
         self._chains[order] = root
         self._chain_counts[order] = counts
         self._index_builds += 1
@@ -487,6 +541,53 @@ class Relation:
             if depth <= len(order) and frozenset(order[:depth]) == positions:
                 return counts[depth - 1] if depth else len(self._tuples)
         return None
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless every live index fits ``_tuples``.
+
+        Each flat index, chain trie and chain's distinct-prefix counts
+        is compared with a from-scratch rebuild of the current tuple
+        set (dict equality: same keys, same bucket members, no empty
+        leftovers).  A debugging and test aid — it costs a full
+        rebuild of every live index.
+        """
+        tuples = self._tuples
+        for positions, table in self._indexes.items():
+            rebuilt: dict = {}
+            for t in tuples:
+                key = tuple(t[p] for p in positions)
+                rebuilt.setdefault(key, {})[t] = None
+            if table != rebuilt:
+                raise AssertionError(
+                    f"{self.name}: flat index {positions} diverged from "
+                    f"its tuples"
+                )
+        if set(self._chain_counts) != set(self._chains):
+            raise AssertionError(
+                f"{self.name}: chain counts kept for "
+                f"{sorted(self._chain_counts)}, chains live for "
+                f"{sorted(self._chains)}"
+            )
+        for order, root in self._chains.items():
+            rebuilt = {}
+            prefixes: list[set] = [set() for _ in order]
+            for t in tuples:
+                node = rebuilt
+                for depth, p in enumerate(order):
+                    node = node.setdefault(t[p], {})
+                    prefixes[depth].add(tuple(t[q] for q in order[:depth + 1]))
+                node[t] = None
+            if root != rebuilt:
+                raise AssertionError(
+                    f"{self.name}: chain index {order} diverged from its "
+                    f"tuples"
+                )
+            counts = [len(level) for level in prefixes]
+            if self._chain_counts[order] != counts:
+                raise AssertionError(
+                    f"{self.name}: chain {order} counts "
+                    f"{self._chain_counts[order]} != rebuilt {counts}"
+                )
 
     def live_indexes(self) -> list[tuple[str, tuple[int, ...]]]:
         """Shapes currently materialized: ("flat"|"chain", positions/order)."""
@@ -671,6 +772,11 @@ class Database:
             updates += rel._index_updates
             drops += rel._index_drops
         return builds, updates, drops
+
+    def check_invariants(self) -> None:
+        """:meth:`Relation.check_invariants` on every relation."""
+        for rel in self._relations.values():
+            rel.check_invariants()
 
     def active_domain(self) -> set[Hashable]:
         """adom(I): every constant occurring in some tuple of the instance."""

@@ -411,20 +411,26 @@ def _order_positive_indices(literals: list[Lit], db: Database) -> list[int]:
     """Greedy join order, as indices: start small, follow shared variables.
 
     Ties (same shared-variable count, same relation size) go to the
-    literal occurring first in the rule body.  The per-literal variable
-    sets are built once up front — the selection loop runs O(n²) times
-    per rule per stage and must not rebuild them.
+    literal occurring first in the rule body.
     """
     if not literals:
         return []
-
-    var_sets = [lit.variables() for lit in literals]
     sizes: list[int] = []
     for lit in literals:
         rel = db.relation(lit.relation)
         sizes.append(len(rel) if rel is not None else 0)
+    return _greedy_order([lit.variables() for lit in literals], sizes)
 
-    remaining = list(range(len(literals)))
+
+def _greedy_order(var_sets: list[set[Var]], sizes: list[int]) -> list[int]:
+    """The selection loop of :func:`_order_positive_indices`.
+
+    Takes each literal's variable set and relation size, so a caller
+    holding the variable sets (the differential engine's head probes)
+    orders a body without rebuilding them.  The loop runs O(n²) times
+    per rule per call and must not rebuild them either.
+    """
+    remaining = list(range(len(var_sets)))
     ordered: list[int] = []
     bound: set[Var] = set()
     while remaining:

@@ -32,14 +32,27 @@ affected-fact discovery) goes through
 subprogram, which dispatches to the cost-based planner and the
 generated plan kernels — never a hand-rolled interpreted loop —
 and deltas freeze to columnar blocks so those passes take the batch
-kernels.  The head-bound matcher used for exact recounts and
-rederivation support checks, :func:`_iter_bound_matches`, also rides
-the compiled tier: it seeds a *bound* rule plan with the candidate
-fact's head valuation, so its cost is bounded by that one fact's
-derivations rather than the whole rule's match set (this is what
-replaces the old ``MaterializedView._rederive`` full re-enumeration);
-with the compiled tier ablated it falls back to the interpreted
-literal-at-a-time walk.
+kernels.
+
+Exact recounts and rederivation support checks are *head-bound*: the
+join is seeded with one candidate fact's values, so a check costs that
+fact's own derivations, not the rule's match set.  Everything else
+about the check depends only on the rule, so it is paid once: each
+rule gets a :class:`_HeadProbe` at construction (its head's constant
+and repeated-variable checks, the positions that seed the bound
+variables, its body's relations and variable sets), and each scan —
+the DRed support scan, the counting recount — picks every rule's join
+order and bound :class:`~repro.semantics.plan.RulePlan` once, through
+:func:`~repro.semantics.plan.plan_for`.  Per fact,
+:meth:`DifferentialEngine._derivation_count` checks the head, projects
+the seed and runs the plan's seeded walk.  With the compiled tier off,
+the interpreted oracle :func:`_iter_bound_matches` counts instead.
+
+Storage mutations are batched the same way: deleted-fact ghosts,
+over-deleted facts, rederived facts, recount results and each
+propagation round's new heads reach the database grouped by relation,
+through ``Relation.add_batch``/``discard_batch``, which maintain each
+live index in one pass over the group.
 
 Scope: plain (positive) Datalog, the dialect in which both component
 algorithms are exact.  Updates are **atomic**: the entire diff batch
@@ -63,9 +76,9 @@ from repro.ast.rules import Rule
 from repro.relational.instance import Database
 from repro.semantics.base import (
     EngineStats,
+    _greedy_order,
     _iter_literal_matches,
     _order_positive,
-    _order_positive_indices,
     evaluation_adom,
     immediate_consequences,
     instantiate_head,
@@ -73,6 +86,7 @@ from repro.semantics.base import (
 )
 from repro.semantics.plan import (
     PlanCache,
+    RulePlan,
     active_matcher,
     kernel_difference,
     make_delta,
@@ -175,59 +189,83 @@ class _Component:
         self.strategy = DRED if recursive else COUNTING
 
 
-_MISSING = object()
+class _HeadProbe:
+    """One rule's head, compiled once for head-bound derivation counts.
 
+    A recount or support check asks how many body matches derive one
+    given fact.  Everything about that question except the fact's
+    values depends only on the rule, so it is settled here:
 
-def _head_binding(rule: Rule, values: tuple) -> dict | None:
-    """Unify a rule's (single) head with a fact's values.
-
-    Returns the variable binding, or ``None`` when a head constant or a
-    repeated head variable contradicts the fact.
+    * ``consts`` — ``(position, value)`` for each head constant;
+    * ``repeats`` — ``(position, first position)`` for each repeated
+      head variable;
+    * ``bound`` — the distinct head variables sorted by name, the
+      leading slots of the bound :class:`RulePlan`;
+    * ``seed_positions`` — each ``bound`` variable's first head
+      position, so the seed tuple is a projection of the fact;
+    * ``relations`` / ``var_sets`` — the positive body literals'
+      relation names and variable sets, the inputs of the join order.
     """
-    (head,) = rule.head_literals()
-    binding: dict = {}
-    for term, value in zip(head.atom.terms, values):
-        if isinstance(term, Const):
-            if term.value != value:
+
+    __slots__ = (
+        "rule", "consts", "repeats", "bound", "seed_positions",
+        "relations", "var_sets",
+    )
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        (head,) = rule.head_literals()
+        consts: list[tuple[int, Hashable]] = []
+        repeats: list[tuple[int, int]] = []
+        first: dict = {}
+        for position, term in enumerate(head.atom.terms):
+            if isinstance(term, Const):
+                consts.append((position, term.value))
+            elif term in first:
+                repeats.append((position, first[term]))
+            else:
+                first[term] = position
+        self.consts = tuple(consts)
+        self.repeats = tuple(repeats)
+        self.bound = tuple(sorted(first, key=lambda v: v.name))
+        self.seed_positions = tuple(first[v] for v in self.bound)
+        positive = rule.positive_body()
+        self.relations = tuple(lit.relation for lit in positive)
+        self.var_sets = [lit.variables() for lit in positive]
+
+    def seed(self, values: tuple) -> tuple | None:
+        """The bound slots' values for one fact, or ``None`` when a
+        head constant or a repeated head variable contradicts it."""
+        for position, value in self.consts:
+            if values[position] != value:
                 return None
-        else:
-            seen = binding.get(term, _MISSING)
-            if seen is _MISSING:
-                binding[term] = value
-            elif seen != value:
+        for position, first in self.repeats:
+            if values[position] != values[first]:
                 return None
-    return binding
+        return tuple([values[p] for p in self.seed_positions])
+
+    def plan(self, db: Database) -> RulePlan:
+        """The bound plan under the join order the current sizes pick
+        (the greedy order of ``base._order_positive_indices``)."""
+        sizes = []
+        for name in self.relations:
+            rel = db.relation(name)
+            sizes.append(len(rel) if rel is not None else 0)
+        order = tuple(_greedy_order(self.var_sets, sizes))
+        return plan_for(self.rule, order, bound=self.bound)
 
 
 def _iter_bound_matches(rule: Rule, db: Database, valuation: dict):
     """Body matches of ``rule`` extending a head-seeded ``valuation``.
 
-    The top-down primitive behind exact recounts and rederivation
-    support checks: with the head variables pre-bound, each positive
-    literal extends the valuation through the relation's incremental
-    indexes, so the cost is the candidate fact's own join fan-out, not
-    the rule's full match set.  Plain-Datalog scope: every body
-    variable occurs in a positive literal, so the valuation is total
-    when the last literal matches.  Callers only count yields, so the
-    items themselves carry no contract — one yield per total body
-    valuation.
-
-    With the compiled tier on, this dispatches through a *bound*
-    :class:`~repro.semantics.plan.RulePlan`: the seed values occupy
-    slots ``0..k-1``, later occurrences of seeded variables become
-    indexed key fills, and the plan (codegen included) is cached per
-    ``(order, bound)`` alongside the unseeded plans.
-
-    Never mutates the database; callers buffer any re-additions and
-    apply them only after enumeration finishes (or is abandoned).
+    The interpreted oracle of the head-bound count, used when the
+    compiled tier is off: each positive literal, in the greedy order,
+    extends the valuation through the relation's indexes.
+    Plain-Datalog scope: every body variable occurs in a positive
+    literal, so the valuation is total when the last literal matches.
+    Callers only count yields — one per total body valuation.  Never
+    mutates the database.
     """
-    if PlanCache.compiled_plans:
-        positive = list(rule.positive_body())
-        order = tuple(_order_positive_indices(positive, db))
-        bound = tuple(sorted(valuation, key=lambda v: v.name))
-        plan = plan_for(rule, order, bound=bound)
-        seed = tuple(valuation[v] for v in bound)
-        return plan.iter_seeded(db, (), seed)
     ordered = _order_positive(list(rule.positive_body()), db)
 
     def descend(idx: int) -> Iterator[dict]:
@@ -240,11 +278,53 @@ def _iter_bound_matches(rule: Rule, db: Database, valuation: dict):
     return descend(0)
 
 
+#: A scan's probes: head relation → each head rule's probe with the
+#: bound plan chosen for the scan (``None`` on the interpreted tier).
+_BoundProbes = dict[str, list[tuple[_HeadProbe, RulePlan | None]]]
+
+
 def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
     out: dict[str, set[tuple]] = {}
     for relation, t in facts:
         out.setdefault(relation, set()).add(t)
     return out
+
+
+def _by_relation(facts: Iterable[Fact]) -> dict[str, list[tuple]]:
+    """Group facts by relation, keeping their order within each group."""
+    out: dict[str, list[tuple]] = {}
+    for relation, t in facts:
+        group = out.get(relation)
+        if group is None:
+            out[relation] = [t]
+        else:
+            group.append(t)
+    return out
+
+
+def _add_groups(db: Database, groups: dict) -> dict[str, set[tuple]]:
+    """Insert each relation's tuples with one ``Relation.add_batch``.
+
+    Returns the genuinely new tuples per relation — the next delta of
+    a propagation loop.  Within a relation, insertion (and so bucket)
+    order follows the group's order.
+    """
+    delta: dict[str, set[tuple]] = {}
+    for relation, ts in groups.items():
+        if ts:
+            rel = db.ensure_relation(relation, len(next(iter(ts))))
+            fresh = rel.add_batch(ts)
+            if fresh:
+                delta[relation] = set(fresh)
+    return delta
+
+
+def _discard_groups(db: Database, groups: dict) -> None:
+    """Remove each relation's tuples with one ``Relation.discard_batch``."""
+    for relation, ts in groups.items():
+        rel = db.relation(relation)
+        if rel is not None and ts:
+            rel.discard_batch(ts)
 
 
 def _frozen(delta: dict[str, set[tuple]]) -> dict:
@@ -278,10 +358,13 @@ class DifferentialEngine:
         #: Exact derivation counts for facts of counting components
         #: (DRed components keep no counts).
         self.counts: Counter[Fact] = Counter()
-        self._rules_by_head: dict[str, list[Rule]] = {}
+        #: Head relation → one :class:`_HeadProbe` per rule.
+        self._probes: dict[str, list[_HeadProbe]] = {}
         for rule in program.rules:
             for relation in rule.head_relations():
-                self._rules_by_head.setdefault(relation, []).append(rule)
+                self._probes.setdefault(relation, []).append(
+                    _HeadProbe(rule)
+                )
         self._components = self._build_components()
         self._subscriptions: list[Subscription] = []
         self.stats = EngineStats(
@@ -355,28 +438,23 @@ class DifferentialEngine:
                 # Buffered: the head relation is never read by a
                 # nonrecursive component's bodies, but we still never
                 # mutate while a match generator is live.
-                for relation, t in additions:
-                    self.database.add_fact(relation, t)
+                _add_groups(self.database, _by_relation(additions))
             else:
                 # Add-only fixpoint: the batch kernels may subtract
                 # already-present heads before emitting.
                 with kernel_difference():
-                    delta: dict[str, set[tuple]] = {}
                     heads, _neg, _firings = immediate_consequences(
                         comp.program, self.database, adom, stats=self.stats
                     )
-                    for relation, t in heads:
-                        if self.database.add_fact(relation, t):
-                            delta.setdefault(relation, set()).add(t)
+                    delta = _add_groups(self.database, _by_relation(heads))
                     while delta:
                         heads, _neg, _firings = immediate_consequences(
                             comp.program, self.database, adom,
                             delta=_frozen(delta), stats=self.stats,
                         )
-                        delta = {}
-                        for relation, t in heads:
-                            if self.database.add_fact(relation, t):
-                                delta.setdefault(relation, set()).add(t)
+                        delta = _add_groups(
+                            self.database, _by_relation(heads)
+                        )
 
     # -- public API ---------------------------------------------------------
 
@@ -564,11 +642,7 @@ class DifferentialEngine:
         over-approximation is harmless: the per-fact recount against
         the final state is exact.
         """
-        ghosts = [
-            (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
-        ]
-        for relation, t in ghosts:
-            self.database.add_fact(relation, t)
+        _add_groups(self.database, del_in)  # ghosts
         delta: dict[str, set[tuple]] = {}
         for source in (ins_in, del_in):
             for relation, ts in source.items():
@@ -580,43 +654,83 @@ class DifferentialEngine:
             comp.program, self.database, adom,
             delta=_frozen(delta), stats=self.stats,
         )
-        for relation, t in ghosts:
-            self.database.remove_fact(relation, t)
+        _discard_groups(self.database, del_in)
 
-        added: set[Fact] = set()
-        removed: set[Fact] = set()
+        # A nonrecursive component's bodies never read its own head
+        # relation, and the adds and removes wait until the scan ends,
+        # so one plan choice serves every recount.
+        probes = self._bind_probes(comp.relations)
+        added: list[Fact] = []
+        removed: list[Fact] = []
         for fact in sorted(affected, key=repr):
             old = self.counts.get(fact, 0)
-            new = self._derivation_count(fact)
+            new = self._derivation_count(fact, probes=probes)
             if new != old:
-                if old == 0 and new > 0:
-                    self.database.add_fact(*fact)
-                    added.add(fact)
-                elif old > 0 and new == 0:
-                    self.database.remove_fact(*fact)
-                    removed.add(fact)
+                if old == 0:
+                    added.append(fact)
+                elif new == 0:
+                    removed.append(fact)
             if new:
                 self.counts[fact] = new
             else:
                 self.counts.pop(fact, None)
-        return added, removed, len(affected)
+        _discard_groups(self.database, _by_relation(removed))
+        _add_groups(self.database, _by_relation(added))
+        return set(added), set(removed), len(affected)
 
-    def _derivation_count(self, fact: Fact, limit: int | None = None) -> int:
+    def _bind_probes(self, relations: Iterable[str]) -> _BoundProbes:
+        """Each head rule's probe with its bound plan, decided once.
+
+        A scan (the DRed support scan, the recount loop) calls this
+        before its first fact: the join order depends only on relation
+        sizes, and no relation a scan's bodies read changes during it,
+        so one :func:`plan_for` lookup per rule serves every fact.  The
+        plans are not kept past the scan, so a cleared plan cache never
+        leaves a stale plan here.  The interpreted tier gets ``None``
+        and runs the :func:`_iter_bound_matches` oracle instead.
+        """
+        db = self.database
+        compiled = PlanCache.compiled_plans
+        return {
+            relation: [
+                (probe, probe.plan(db) if compiled else None)
+                for probe in self._probes.get(relation, ())
+            ]
+            for relation in relations
+        }
+
+    def _derivation_count(
+        self,
+        fact: Fact,
+        limit: int | None = None,
+        probes: _BoundProbes | None = None,
+    ) -> int:
         """Exact derivation count of one fact against the current view.
 
         Head-bound matching: the join is seeded with the fact's own
         values, so the cost is this fact's derivations, not the rule's
         full match set.  ``limit`` turns the count into an existence
-        check (rederivation support).
+        check (rederivation support).  ``probes`` is the calling scan's
+        :meth:`_bind_probes`; without it the fact's head rules are
+        bound for this one call.
         """
         self.stats.differential["support_checks"] += 1
         relation, values = fact
+        if probes is None:
+            probes = self._bind_probes((relation,))
+        db = self.database
         total = 0
-        for rule in self._rules_by_head.get(relation, ()):
-            binding = _head_binding(rule, values)
-            if binding is None:
+        for probe, plan in probes.get(relation, ()):
+            seed = probe.seed(values)
+            if seed is None:
                 continue
-            for _ in _iter_bound_matches(rule, self.database, binding):
+            if plan is not None:
+                matches = plan.iter_seeded(db, (), seed)
+            else:
+                matches = _iter_bound_matches(
+                    probe.rule, db, dict(zip(probe.bound, seed))
+                )
+            for _ in matches:
                 total += 1
                 if limit is not None and total >= limit:
                     return total
@@ -648,11 +762,7 @@ class DifferentialEngine:
         if not del_in:
             return set(), 0, 0
         db = self.database
-        ghosts = [
-            (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
-        ]
-        for relation, t in ghosts:
-            db.add_fact(relation, t)
+        _add_groups(db, del_in)  # ghosts
         overdeleted: set[Fact] = set()
         frontier: dict[str, set[tuple]] = {
             rel: set(ts) for rel, ts in del_in.items()
@@ -673,23 +783,17 @@ class DifferentialEngine:
                 if db.has_fact(relation, t):
                     overdeleted.add(fact)
                     frontier.setdefault(relation, set()).add(t)
-        for relation, t in ghosts:
-            db.remove_fact(relation, t)
-        for relation, t in overdeleted:
-            db.remove_fact(relation, t)
+        _discard_groups(db, del_in)
+        _discard_groups(db, _by_relation(overdeleted))
 
-        rederived: set[Fact] = set()
+        probes = self._bind_probes(comp.relations)
         supported = [
             fact
             for fact in sorted(overdeleted, key=repr)
-            if self._derivation_count(fact, limit=1)
+            if self._derivation_count(fact, limit=1, probes=probes)
         ]
-        delta: dict[str, set[tuple]] = {}
-        for fact in supported:
-            relation, t = fact
-            db.add_fact(relation, t)
-            rederived.add(fact)
-            delta.setdefault(relation, set()).add(t)
+        rederived: set[Fact] = set(supported)
+        delta = _add_groups(db, _by_relation(supported))
         # Every head this loop can act on is an over-deleted fact not
         # yet re-added — never currently in the database — so the
         # in-kernel difference cannot hide one.
@@ -699,13 +803,12 @@ class DifferentialEngine:
                     comp.program, db, adom,
                     delta=_frozen(delta), stats=self.stats,
                 )
-                delta = {}
-                for fact in heads:
-                    if fact in overdeleted and fact not in rederived:
-                        relation, t = fact
-                        db.add_fact(relation, t)
-                        rederived.add(fact)
-                        delta.setdefault(relation, set()).add(t)
+                restored = [
+                    fact for fact in heads
+                    if fact in overdeleted and fact not in rederived
+                ]
+                rederived.update(restored)
+                delta = _add_groups(db, _by_relation(restored))
         return overdeleted - rederived, len(overdeleted), len(rederived)
 
     def _dred_insert(
@@ -730,12 +833,10 @@ class DifferentialEngine:
                     comp.program, db, adom,
                     delta=_frozen(delta), stats=self.stats,
                 )
-                delta = {}
-                for fact in heads:
-                    relation, t = fact
-                    if db.add_fact(relation, t):
-                        added.add(fact)
-                        delta.setdefault(relation, set()).add(t)
+                delta = _add_groups(db, _by_relation(heads))
+                added.update(
+                    (rel, t) for rel, ts in delta.items() for t in ts
+                )
         return added
 
     # -- misc ---------------------------------------------------------------

@@ -138,4 +138,5 @@ def test_counting_view_always_equals_scratch(start, updates):
             view.insert([("G", edge)])
         else:
             view.delete([("G", edge)])
+        view.database.check_invariants()
     assert view.consistent_with_scratch()

@@ -5,7 +5,9 @@ and subscription API, the maintenance-layer correctness fixes
 (IDB-named base facts rejected, atomic batches), and the two
 correctness spines: seeded randomized insert/delete *streams* checked
 against from-scratch evaluation after every operation, and the
-50-random-program stream differential.
+50-random-program stream differential.  The streams also check every
+relation's indexes against its tuples after each update
+(``Database.check_invariants``).
 """
 
 import random
@@ -336,6 +338,7 @@ def test_recursive_stream_differential(seed, make_view):
     view = make_view(tc_program(), graph_database(start))
     for _ in range(12):
         stream_step(rng, view, {"G": 2}, EDGE_NODES)
+        view.database.check_invariants()
         assert view_answers(view) == scratch_answers(view)
 
 
@@ -357,6 +360,7 @@ def test_nonrecursive_stream_differential(seed, make_view):
     view = make_view(TWO_HOP, Database({"G": start}))
     for _ in range(12):
         stream_step(rng, view, {"G": 2}, EDGE_NODES)
+        view.database.check_invariants()
         assert view_answers(view) == scratch_answers(view)
 
 
@@ -379,6 +383,7 @@ def test_random_program_stream_differential(seed):
     constants = ["a", "b", "c", "d"]
     for _ in range(8):
         stream_step(rng, engine, edb_schema, constants)
+        engine.database.check_invariants()
         assert view_answers(engine) == scratch_answers(engine), source
 
 
